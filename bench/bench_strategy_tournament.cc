@@ -1,6 +1,6 @@
-// Strategy tournament: compares the pluggable selection strategies
-// (greedy / local_search / cluster_greedy / cluster_local_search; see
-// DESIGN.md, "Selection strategies") head to head.
+// Strategy tournament: races the pluggable selection strategies
+// (greedy / local_search; see DESIGN.md, "Selection strategies") head
+// to head.
 //
 // Section 1 resolves seeded synthetic knapsack instances directly
 // through the SelectionStrategy seam and compares the full knapsack
@@ -9,7 +9,7 @@
 // local search seeds from greedy and only applies strictly improving
 // moves, so its objective is never below greedy's on the same
 // instance — the bench aborts if that ever fails, in smoke and full
-// mode alike (same check for the cluster pair).
+// mode alike.
 //
 // Section 2 runs end-to-end workloads through ExperimentRunner, one
 // fresh engine per strategy, and reports total simulated seconds,
@@ -17,13 +17,15 @@
 //
 // Run:  bench_strategy_tournament [--smoke] [--json=PATH] [--csv=PATH]
 // --smoke shrinks both sections to CI size. JSON results land in
-// BENCH_strategy_tournament.json by default; EXPERIMENTS.md documents
-// the schema.
+// BENCH_strategy_tournament.json by default, with the host that
+// produced them (cores, compiler, build type, git revision);
+// EXPERIMENTS.md documents the schema.
 
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -35,20 +37,25 @@ using namespace deepsea;
 
 namespace {
 
-constexpr SelectionStrategyKind kAllStrategies[] = {
-    SelectionStrategyKind::kGreedy,
-    SelectionStrategyKind::kLocalSearch,
-    SelectionStrategyKind::kClusterGreedy,
-    SelectionStrategyKind::kClusterLocalSearch,
-};
+#ifndef DEEPSEA_BUILD_TYPE
+#define DEEPSEA_BUILD_TYPE "unknown"
+#endif
+#ifndef DEEPSEA_GIT_REVISION
+#define DEEPSEA_GIT_REVISION "unknown"
+#endif
+#if defined(__clang__)
+#define DEEPSEA_COMPILER "clang " __clang_version__
+#elif defined(__GNUC__)
+#define DEEPSEA_COMPILER "gcc " __VERSION__
+#else
+#define DEEPSEA_COMPILER "unknown"
+#endif
 
 // --- section 1: seeded synthetic knapsack instances -----------------
 
 /// A contended random instance: mixed pool/new candidates, ~40% of the
-/// summed size as budget. Fragment-kind items get random ranges on a
-/// handful of partitions so the clustering pre-pass has real overlap
-/// structure to merge.
-SelectionInput RandomInstance(uint64_t seed, int items, int parts) {
+/// summed size as budget. Fragment-kind items get random ranges.
+SelectionInput RandomInstance(uint64_t seed, int items) {
   Rng rng(seed);
   SelectionInput in;
   double total_size = 0.0;
@@ -63,8 +70,6 @@ SelectionInput RandomInstance(uint64_t seed, int items, int parts) {
     c.size = rng.Uniform(1e6, 5e8);
     if (c.kind == SelectionCandidate::Kind::kNewFragment ||
         c.kind == SelectionCandidate::Kind::kNewViewFragment) {
-      c.part_ord = static_cast<int>(rng.UniformInt(0, parts - 1));
-      c.mergeable = true;
       const double lo = rng.Uniform(0.0, 350000.0);
       c.interval = Interval(lo, lo + rng.Uniform(1000.0, 50000.0));
     }
@@ -80,37 +85,34 @@ struct DecisionAgg {
   int instances = 0;
   double aggregate_benefit = 0.0;
   long long swaps = 0;
-  long long merged = 0;
 };
 
-std::vector<DecisionAgg> RunPerDecision(int instances, int items, int parts) {
+std::vector<DecisionAgg> RunPerDecision(int instances, int items) {
   std::vector<DecisionAgg> aggs;
-  for (SelectionStrategyKind kind : kAllStrategies) {
-    aggs.push_back({SelectionStrategyName(kind), instances, 0.0, 0, 0});
+  for (SelectionStrategyKind kind : kSelectionStrategyKinds) {
+    aggs.push_back({SelectionStrategyName(kind), instances, 0.0, 0});
   }
   for (int s = 0; s < instances; ++s) {
-    const SelectionInput base = RandomInstance(9000 + s, items, parts);
+    const SelectionInput base = RandomInstance(9000 + s, items);
     std::vector<double> values;
     for (size_t k = 0; k < aggs.size(); ++k) {
       SelectionInput in = base;
-      in.config.kind = kAllStrategies[k];
+      in.config.kind = kSelectionStrategyKinds[k];
       const SelectionResolution res =
-          SelectionStrategy::ForKind(kAllStrategies[k])->Resolve(in);
+          SelectionStrategy::ForKind(kSelectionStrategyKinds[k])->Resolve(in);
       aggs[k].aggregate_benefit += res.objective_value;
       aggs[k].swaps += res.swaps_applied;
-      aggs[k].merged += res.candidates_merged;
       values.push_back(res.objective_value);
     }
-    // The never-worse invariants, per instance, on the full knapsack
+    // The never-worse invariant, per instance, on the full knapsack
     // objective (admitted Φ incl. kept pool content — benefit_score
     // alone can legitimately drop when a move trades a new item for
-    // pool content): LS >= greedy and cluster LS >= cluster greedy
-    // (same candidate set post-merge).
-    if (values[1] < values[0] - 1e-9 || values[3] < values[2] - 1e-9) {
+    // pool content).
+    if (values[1] < values[0] - 1e-9) {
       std::fprintf(stderr,
                    "FAIL seed %d: local search below its greedy seed "
-                   "(greedy=%.6f ls=%.6f cg=%.6f cls=%.6f)\n",
-                   9000 + s, values[0], values[1], values[2], values[3]);
+                   "(greedy=%.6f ls=%.6f)\n",
+                   9000 + s, values[0], values[1]);
       std::abort();
     }
   }
@@ -125,7 +127,6 @@ struct WorkloadRow {
   double total_seconds = 0.0;
   double aggregate_benefit = 0.0;
   long long swaps = 0;
-  long long merged = 0;
   long long views = 0;
   long long fragments = 0;
   double pool_bytes = 0.0;
@@ -163,15 +164,20 @@ static std::string ToJson(bool smoke, const std::vector<DecisionAgg>& aggs,
   std::snprintf(buf, sizeof(buf), "  \"smoke\": %s,\n",
                 smoke ? "true" : "false");
   out += buf;
+  std::snprintf(buf, sizeof(buf),
+                "  \"host\": {\"cores\": %u, \"compiler\": \"%s\", "
+                "\"build_type\": \"%s\", \"git_revision\": \"%s\"},\n",
+                std::thread::hardware_concurrency(), DEEPSEA_COMPILER,
+                DEEPSEA_BUILD_TYPE, DEEPSEA_GIT_REVISION);
+  out += buf;
   out += "  \"per_decision\": [\n";
   for (size_t i = 0; i < aggs.size(); ++i) {
     const DecisionAgg& a = aggs[i];
     std::snprintf(buf, sizeof(buf),
                   "    {\"strategy\": \"%s\", \"instances\": %d, "
-                  "\"aggregate_benefit\": %.9g, \"swaps\": %lld, "
-                  "\"merged_candidates\": %lld}%s\n",
+                  "\"aggregate_benefit\": %.9g, \"swaps\": %lld}%s\n",
                   a.strategy, a.instances, a.aggregate_benefit, a.swaps,
-                  a.merged, i + 1 < aggs.size() ? "," : "");
+                  i + 1 < aggs.size() ? "," : "");
     out += buf;
   }
   out += "  ],\n  \"workloads\": [\n";
@@ -180,11 +186,10 @@ static std::string ToJson(bool smoke, const std::vector<DecisionAgg>& aggs,
     std::snprintf(buf, sizeof(buf),
                   "    {\"workload\": \"%s\", \"strategy\": \"%s\", "
                   "\"total_seconds\": %.3f, \"aggregate_benefit\": %.9g, "
-                  "\"swaps\": %lld, \"merged_candidates\": %lld, "
-                  "\"views\": %lld, \"fragments\": %lld, "
+                  "\"swaps\": %lld, \"views\": %lld, \"fragments\": %lld, "
                   "\"pool_bytes\": %.0f}%s\n",
                   r.workload, r.strategy, r.total_seconds,
-                  r.aggregate_benefit, r.swaps, r.merged, r.views,
+                  r.aggregate_benefit, r.swaps, r.views,
                   r.fragments, r.pool_bytes,
                   i + 1 < rows.size() ? "," : "");
     out += buf;
@@ -196,18 +201,17 @@ static std::string ToJson(bool smoke, const std::vector<DecisionAgg>& aggs,
 static std::string ToCsv(const std::vector<DecisionAgg>& aggs,
                          const std::vector<WorkloadRow>& rows) {
   std::string out =
-      "section,workload,strategy,total_seconds,aggregate_benefit,swaps,"
-      "merged_candidates\n";
+      "section,workload,strategy,total_seconds,aggregate_benefit,swaps\n";
   char buf[256];
   for (const DecisionAgg& a : aggs) {
-    std::snprintf(buf, sizeof(buf), "per_decision,,%s,,%.9g,%lld,%lld\n",
-                  a.strategy, a.aggregate_benefit, a.swaps, a.merged);
+    std::snprintf(buf, sizeof(buf), "per_decision,,%s,,%.9g,%lld\n",
+                  a.strategy, a.aggregate_benefit, a.swaps);
     out += buf;
   }
   for (const WorkloadRow& r : rows) {
-    std::snprintf(buf, sizeof(buf), "workload,%s,%s,%.3f,%.9g,%lld,%lld\n",
+    std::snprintf(buf, sizeof(buf), "workload,%s,%s,%.3f,%.9g,%lld\n",
                   r.workload, r.strategy, r.total_seconds,
-                  r.aggregate_benefit, r.swaps, r.merged);
+                  r.aggregate_benefit, r.swaps);
     out += buf;
   }
   return out;
@@ -240,15 +244,15 @@ int main(int argc, char** argv) {
   std::printf("\n-- per-decision knapsack value, %d seeded instances --\n",
               instances);
   const std::vector<DecisionAgg> aggs =
-      RunPerDecision(instances, /*items=*/smoke ? 48 : 96, /*parts=*/6);
+      RunPerDecision(instances, /*items=*/smoke ? 48 : 96);
   {
     TablePrinter table;
-    table.Header({"strategy", "sum value", "vs greedy", "swaps", "merged"});
+    table.Header({"strategy", "sum value", "vs greedy", "swaps"});
     const double greedy = aggs[0].aggregate_benefit;
     for (const DecisionAgg& a : aggs) {
       table.Row({a.strategy, StrFormat("%.4g", a.aggregate_benefit),
                  FmtRatio(a.aggregate_benefit / std::max(greedy, 1e-12)),
-                 std::to_string(a.swaps), std::to_string(a.merged)});
+                 std::to_string(a.swaps)});
     }
   }
   std::printf("invariant OK: local search never below its greedy seed\n");
@@ -269,9 +273,9 @@ int main(int argc, char** argv) {
                 scenario.workload.size());
     TablePrinter table;
     table.Header({"strategy", "total (s)", "vs greedy", "benefit", "swaps",
-                  "merged", "frags"});
+                  "frags"});
     double greedy_seconds = 0.0;
-    for (SelectionStrategyKind kind : kAllStrategies) {
+    for (SelectionStrategyKind kind : kSelectionStrategyKinds) {
       StrategySpec spec = bench::DeepSea();
       spec.label = SelectionStrategyName(kind);
       spec.options.selection.kind = kind;
@@ -290,7 +294,6 @@ int main(int argc, char** argv) {
       row.total_seconds = result->total_seconds;
       row.aggregate_benefit = result->totals.selection_benefit;
       row.swaps = result->totals.selection_swaps;
-      row.merged = result->totals.selection_merged_candidates;
       row.views = result->totals.views_created;
       row.fragments = result->totals.fragments_created;
       row.pool_bytes = result->final_pool_bytes;
@@ -298,8 +301,7 @@ int main(int argc, char** argv) {
       table.Row({row.strategy, FmtSeconds(row.total_seconds),
                  FmtRatio(row.total_seconds / std::max(greedy_seconds, 1.0)),
                  StrFormat("%.4g", row.aggregate_benefit),
-                 std::to_string(row.swaps), std::to_string(row.merged),
-                 std::to_string(row.fragments)});
+                 std::to_string(row.swaps), std::to_string(row.fragments)});
     }
     // End-to-end never-worse check on the fixed seeds: unlike the
     // per-instance invariant above this is empirical, not structural —
@@ -307,11 +309,9 @@ int main(int argc, char** argv) {
     // different candidate sets — but the workloads are seeded and the
     // simulator is deterministic, so a drop below greedy's aggregate
     // objective here is a real regression in the strategy seam.
-    const size_t base = rows.size() - 4;
+    const size_t base = rows.size() - 2;
     if (rows[base + 1].aggregate_benefit <
-            rows[base + 0].aggregate_benefit - 1e-12 ||
-        rows[base + 3].aggregate_benefit <
-            rows[base + 2].aggregate_benefit - 1e-12) {
+        rows[base + 0].aggregate_benefit - 1e-12) {
       std::fprintf(stderr,
                    "FAIL workload %s: local search aggregate objective "
                    "below its greedy seed\n",
@@ -335,8 +335,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nPer-decision: local search closes greedy's value-order gaps"
-      "\n(never worse by construction); clustering trades a few merged"
-      "\nnear-duplicates for fewer, wider fragments. End-to-end totals"
-      "\nfold in materialization cost, so the ordering can differ.\n");
+      "\n(never worse by construction). End-to-end totals fold in"
+      "\nmaterialization cost, so the ordering can differ.\n");
   return 0;
 }

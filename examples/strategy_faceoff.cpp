@@ -8,8 +8,7 @@
 //
 // --strategy picks the pluggable selection strategy (the knapsack
 // resolver; see DESIGN.md, "Selection strategies") every selecting
-// engine runs with: greedy (default), local_search, cluster (alias
-// cluster_greedy), or cluster_local_search. The partitioning
+// engine runs with: greedy (default) or local_search. The partitioning
 // strategies above are orthogonal — any selection strategy can resolve
 // any of them. bench_strategy_tournament runs the full head-to-head.
 
@@ -69,10 +68,13 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--strategy=", 11) == 0) {
       if (!ParseSelectionStrategy(argv[i] + 11, &selection)) {
-        std::fprintf(stderr,
-                     "unknown --strategy=%s (expected greedy, local_search, "
-                     "cluster, or cluster_local_search)\n",
-                     argv[i] + 11);
+        std::string expected;
+        for (SelectionStrategyKind kind : kSelectionStrategyKinds) {
+          if (!expected.empty()) expected += ", ";
+          expected += SelectionStrategyName(kind);
+        }
+        std::fprintf(stderr, "unknown --strategy=%s (expected one of: %s)\n",
+                     argv[i] + 11, expected.c_str());
         return 1;
       }
     } else {

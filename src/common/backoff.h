@@ -6,9 +6,9 @@
 
 namespace deepsea {
 
-/// Capped exponential backoff with deterministic jitter, shared by the
-/// engine's inline fault-retry loop and the background materialization
-/// workers (see DESIGN.md, "Failure model and recovery").
+/// Capped exponential backoff with deterministic jitter, charged by the
+/// fault-retry helper (core/fault_retry.h; see DESIGN.md, "Failure
+/// model and recovery").
 ///
 /// The delay for retry k (k = 0 for the first retry) is
 ///

@@ -27,11 +27,10 @@ namespace deepsea {
 ///  * `all` — the commit rewrote arbitrary pool state (state loads,
 ///    merge passes, the legacy token-only BeginCommit). Conflicts with
 ///    every read.
-///  * `catalog_counter` — the view-id counter / rewrite-index
-///    structure. Read by any plan that *predicts* a new view id
-///    (PlanningDelta::TrackView), written by any commit that creates
-///    views. Two concurrent creators always conflict, which is what
-///    makes "v<N>" id prediction safe.
+///  * `catalog_counter` — the pool's view membership. Read (softly) by
+///    a plan whose knapsack weighed every pool view
+///    (PlanningDelta::NotePoolMembershipRead), written by any commit
+///    that creates views.
 ///  * `catalog_sigs` — view-signature catalog entries probed
 ///    (FindView) or created (TrackView). A foreign commit creating a
 ///    signature this plan probed invalidates the plan; creations with

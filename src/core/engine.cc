@@ -4,21 +4,12 @@
 #include <chrono>
 #include <utility>
 
-#include "common/backoff.h"
+#include "core/fault_retry.h"
 #include "core/materialization_service.h"
 
 namespace deepsea {
 
 namespace {
-
-/// Seed of the retry-backoff jitter stream: a pure function of the
-/// commit clock and the tenant ordinal, so replays (and the background
-/// worker retrying the same decision) draw identical jitter regardless
-/// of thread interleaving.
-uint64_t BackoffSeed(int64_t t_now, int32_t tenant_ord) {
-  return static_cast<uint64_t>(t_now) * 0x9e3779b97f4a7c15ull +
-         static_cast<uint64_t>(tenant_ord);
-}
 
 /// Brackets one pipeline stage with observer notifications.
 ///
@@ -58,86 +49,41 @@ class StageScope {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Adds the pool writes the decision's actions will perform to `fp`.
-/// Complements PlanningDelta::CollectWriteFootprint (the statistics
-/// fold) with the materialize/evict mutations of Apply. `a.part` may
-/// point at a shadow partition — only its attr is read, which is the
-/// same string the folded real partition carries.
-void MergeDecisionWrites(const SelectionDecision& decision,
-                         CommitFootprint* fp) {
+/// What a decision does to the pool, from one walk over its actions.
+struct DecisionEffects {
+  bool evicts = false;
+  double materialized_bytes = 0.0;  ///< summed materialize-action sizes
+  double evicted_bytes = 0.0;       ///< summed evict-action sizes
+  /// The pool writes Apply will perform (not normalized). Complements
+  /// PlanningDelta::CollectWriteFootprint (the statistics fold) with
+  /// the materialize/evict mutations. `a.part` may point at a shadow
+  /// partition — only its attr is read, which is the same string the
+  /// folded real partition carries.
+  CommitFootprint writes;
+};
+
+DecisionEffects EffectsOf(const SelectionDecision& decision) {
+  DecisionEffects e;
   for (const SelectionAction& a : decision.actions) {
+    const bool whole = a.kind == SelectionAction::Kind::kEvictWholeView ||
+                       a.kind == SelectionAction::Kind::kMaterializeView;
+    if (a.kind == SelectionAction::Kind::kEvictWholeView ||
+        a.kind == SelectionAction::Kind::kEvictFragment) {
+      e.evicts = true;
+      e.evicted_bytes += a.size_bytes;
+    } else {
+      e.materialized_bytes += a.size_bytes;
+    }
     if (a.view == nullptr) continue;
-    fp->AddView(a.view->id);
-    switch (a.kind) {
-      case SelectionAction::Kind::kEvictWholeView:
-        fp->AddPartition(a.view->id, "");
-        break;
-      case SelectionAction::Kind::kMaterializeView:
-        fp->AddPartition(a.view->id, "");
-        break;
-      case SelectionAction::Kind::kEvictFragment:
-      case SelectionAction::Kind::kMaterializeRefinement:
-      case SelectionAction::Kind::kMaterializeViewFragment:
-        if (a.part != nullptr) {
-          fp->AddPartition(a.view->id, a.part->attr);
-          fp->AddFragment(a.view->id, a.part->attr, a.interval);
-        }
-        break;
+    e.writes.AddView(a.view->id);
+    if (whole) {
+      e.writes.AddPartition(a.view->id, "");
+    } else if (a.part != nullptr) {
+      e.writes.AddPartition(a.view->id, a.part->attr);
+      e.writes.AddFragment(a.view->id, a.part->attr, a.interval);
     }
   }
-}
-
-/// Estimated bytes the decision's materializations add to the pool —
-/// the budget-headroom claim validated at commit entry. A plan whose
-/// knapsack was uncontended drops its pool-sweep soft reads, so
-/// concurrent occupancy growth is invisible to read-set validation;
-/// without this claim two such plans could jointly materialize past
-/// pool_limit_bytes. Decisions that evict promote the sweep reads that
-/// already protect them (and net occupancy down), so they claim 0.
-double AdmittedDecisionBytes(const SelectionDecision& decision) {
-  double bytes = 0.0;
-  for (const SelectionAction& a : decision.actions) {
-    switch (a.kind) {
-      case SelectionAction::Kind::kEvictWholeView:
-      case SelectionAction::Kind::kEvictFragment:
-        return 0.0;
-      case SelectionAction::Kind::kMaterializeView:
-      case SelectionAction::Kind::kMaterializeViewFragment:
-      case SelectionAction::Kind::kMaterializeRefinement:
-        bytes += a.size_bytes;
-        break;
-    }
-  }
-  return bytes;
-}
-
-/// Upper bound on the decision's *net* pool-occupancy delta, claimed by
-/// background jobs at commit entry. A job's revalidation footprint is
-/// partition-structure only — unlike the inline exclusive path it does
-/// NOT carry the plan's promoted pool-sweep reads, so a foreign commit
-/// growing the occupancy between planning and execution is invisible to
-/// it; the byte claim is what keeps two such jobs from jointly
-/// materializing past pool_limit_bytes. Apply executes evictions before
-/// materializations, so materialize-minus-evict bounds the commit's
-/// occupancy delta; a net-negative (turnover) decision claims 0 and
-/// always fits.
-double NetDecisionBytes(const SelectionDecision& decision) {
-  double materialized = 0.0;
-  double evicted = 0.0;
-  for (const SelectionAction& a : decision.actions) {
-    switch (a.kind) {
-      case SelectionAction::Kind::kEvictWholeView:
-      case SelectionAction::Kind::kEvictFragment:
-        evicted += a.size_bytes;
-        break;
-      case SelectionAction::Kind::kMaterializeView:
-      case SelectionAction::Kind::kMaterializeViewFragment:
-      case SelectionAction::Kind::kMaterializeRefinement:
-        materialized += a.size_bytes;
-        break;
-    }
-  }
-  return std::max(0.0, materialized - evicted);
+  return e;
 }
 
 }  // namespace
@@ -236,7 +182,6 @@ Status DeepSeaEngine::RunPlanningStages(QueryContext* ctx, QueryReport* report,
     report->selection_benefit = res.objective_value;
     report->selection_candidates = res.items_considered;
     report->selection_swaps = res.swaps_applied;
-    report->selection_merged_candidates = res.candidates_merged;
     stage.Finish(0.0);
   }
   return Status::OK();
@@ -250,6 +195,7 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
   uint64_t read_epoch = 0;
   int64_t t_spec = 0;
   CommitFootprint write_fp;
+  DecisionEffects effects;
   double admitted_bytes = 0.0;
 
   // Async eligibility: the merge pass and physical execution are
@@ -278,7 +224,7 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
     read_epoch = pool_->read_epoch();
     t_spec = pool_->clock() + 1;
     ctx = std::make_unique<QueryContext>(query, t_spec, tenant_, tenant_ord_);
-    ctx->InitPlanning(*catalog_, stat_, reservation_.get());
+    ctx->InitPlanning(*catalog_, stat_, *reservation_);
     if (observer_ != nullptr) observer_->OnQueryStart(t_spec, query, tenant_);
     DEEPSEA_RETURN_IF_ERROR(RunPlanningStages(ctx.get(), &report, &decision));
     // Collect the plan's write footprint before the shared lock drops:
@@ -287,13 +233,22 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
     // CollectWriteFootprint make this belt-and-braces, but the
     // footprint should describe the plan the lock certified).
     write_fp = ctx->delta()->CollectWriteFootprint();
+    effects = EffectsOf(decision);
     if (!async_mode) {
-      // Inline/drain: the commit both folds the statistics and executes
-      // the decision, so its footprint and budget claim cover both. In
+      // Inline: the commit both folds the statistics and executes the
+      // decision, so its footprint and budget claim cover both. In
       // async mode the commit is stats-only — the decision's writes and
       // byte claim travel with the background job instead.
-      MergeDecisionWrites(decision, &write_fp);
-      admitted_bytes = AdmittedDecisionBytes(decision);
+      //
+      // The claim is the budget headroom validated at commit entry. A
+      // plan whose knapsack was uncontended drops its pool-sweep soft
+      // reads, so concurrent occupancy growth is invisible to read-set
+      // validation; without the claim two such plans could jointly
+      // materialize past pool_limit_bytes. Decisions that evict promote
+      // the sweep reads that already protect them (and net occupancy
+      // down), so they claim 0.
+      write_fp.Merge(effects.writes);
+      admitted_bytes = effects.evicts ? 0.0 : effects.materialized_bytes;
     }
     write_fp.Normalize();
   }
@@ -311,20 +266,12 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
   // foreign commit touched commits as-is — concurrently with other
   // disjoint-footprint tenants; a conflicting plan replans under the
   // exclusive lock (stage observers see the stages a second time,
-  // OnQueryStart is not re-fired).
-  bool needs_exclusive = options_.merge.enabled || options_.physical_execution;
-  bool decision_evicts = false;
-  for (const SelectionAction& a : decision.actions) {
-    if (a.kind == SelectionAction::Kind::kEvictWholeView ||
-        a.kind == SelectionAction::Kind::kEvictFragment) {
-      // Evictions change the pool occupancy every tenant's knapsack
-      // budgets against; route them through the exclusive lock. In
-      // async mode the eviction is deferred with the decision, so the
-      // exclusivity requirement travels with the job, not this commit.
-      decision_evicts = true;
-    }
-  }
-  if (!async_mode && decision_evicts) needs_exclusive = true;
+  // OnQueryStart is not re-fired). In async mode an eviction is
+  // deferred with the decision, so its exclusivity travels with the
+  // job, not this commit.
+  const bool needs_exclusive = options_.merge.enabled ||
+                               options_.physical_execution ||
+                               (!async_mode && effects.evicts);
 
   CommitGuard commit;
   bool conflict_genuine = false;
@@ -363,15 +310,9 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
     // after this point (nothing can publish while we hold X).
     read_epoch = pool_->read_epoch();
     ctx = std::make_unique<QueryContext>(query, t, tenant_, tenant_ord_);
-    ctx->InitPlanning(*catalog_, stat_, reservation_.get());
+    ctx->InitPlanning(*catalog_, stat_, *reservation_);
     DEEPSEA_RETURN_IF_ERROR(RunPlanningStages(ctx.get(), &report, &decision));
-    decision_evicts = false;
-    for (const SelectionAction& a : decision.actions) {
-      if (a.kind == SelectionAction::Kind::kEvictWholeView ||
-          a.kind == SelectionAction::Kind::kEvictFragment) {
-        decision_evicts = true;
-      }
-    }
+    effects = EffectsOf(decision);
   }
   // Under the sharded path a concurrent commit may have won a smaller
   // clock value; events planned at t_spec keep their timestamp (commit-
@@ -386,7 +327,7 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
     const PlanningDelta& d = *ctx->delta();
     report.exclusive_reason =
         options_.merge.enabled                 ? "merge"
-        : (!async_mode && decision_evicts)     ? "eviction"
+        : (!async_mode && effects.evicts)      ? "eviction"
         : options_.physical_execution          ? "physical"
         : d.has_new_views()                    ? "new_view"
         : d.has_deferred_puts()                ? "catalog_put"
@@ -405,7 +346,7 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
     // only the statistics fold happens in this commit — the decision's
     // writes publish with the background job's own commit.)
     CommitFootprint write_fp = ctx->delta()->CollectWriteFootprint();
-    if (!async_mode) MergeDecisionWrites(decision, &write_fp);
+    if (!async_mode) write_fp.Merge(effects.writes);
     write_fp.Normalize();
     pool_->SetCommitFootprint(commit, std::move(write_fp));
   }
@@ -421,16 +362,28 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
     const uint64_t own_seq = pool_->PublishCommitEarly(commit);
     if (!decision.empty()) {
       MaterializationJob job;
-      CommitFootprint job_fp;
-      MergeDecisionWrites(decision, &job_fp);
-      job_fp.Normalize();
-      job.write_fp = std::move(job_fp);
-      job.reval_fp = MaterializationService::RevalidationFootprint(decision);
+      // The decision walk ran before the fold gave this query's new
+      // views their final ids; the job publishes under the final ids.
+      job.write_fp = std::move(effects.writes);
+      ctx->delta()->RemapFoldedIds(&job.write_fp);
+      job.write_fp.Normalize();
+      // Revalidate against partition-structure reads only: by the
+      // conflict matrix (commit_footprint.h) these catch every foreign
+      // merge/load, materialization, eviction, re-tracking or view
+      // creation touching a target partition, while benign statistics
+      // traffic (hit appends, benefit patches) passes through.
+      job.reval_fp.partitions = job.write_fp.partitions;
       job.read_epoch = read_epoch;
       job.skip_seq = own_seq;
-      job.admitted_bytes = NetDecisionBytes(decision);
+      // The job's revalidation set does not carry the plan's promoted
+      // pool-sweep reads, so the byte claim is what keeps two jobs from
+      // jointly materializing past pool_limit_bytes. Apply evicts before
+      // it materializes, so materialize-minus-evict bounds the commit's
+      // occupancy delta; a turnover decision claims 0 and always fits.
+      job.admitted_bytes =
+          std::max(0.0, effects.materialized_bytes - effects.evicted_bytes);
       job.benefit_score = decision.benefit_score;
-      job.needs_exclusive = decision_evicts;
+      job.needs_exclusive = effects.evicts;
       job.observer = observer_;
       job.tenant = tenant_;
       job.tenant_ord = tenant_ord_;
@@ -441,37 +394,58 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
       mat_service->Submit(std::move(job));
     }
   } else if (options_.strategy != StrategyKind::kHive) {
-    bool execute_decision = true;
-    if (mat_service != nullptr &&
-        options_.materialization.mode == MaterializationConfig::Mode::kDrain &&
-        !decision.empty()) {
-      // Drain mode: the decision routes through the service's admission
-      // accounting but executes synchronously inside this same commit.
-      // At the default bounds admission is unconditional, which keeps
-      // drain-mode traces bit-identical to inline execution.
-      execute_decision = mat_service->AdmitInline(
-          AdmittedDecisionBytes(decision), decision.benefit_score);
-    }
     {
       StageScope stage(observer_, EngineStage::kApply, *ctx);
-      if (execute_decision) {
-        ExecuteDecision(decision, *ctx, &report, t);
-      } else {
-        // Shed under a forced-tight drain bound: the statistics still
-        // land (they back the plan the query answered with); only the
-        // decision is dropped. The commit's registered footprint
-        // over-covers the never-executed decision — conservative and
-        // sound.
-        pool_->FoldPlanningDelta(commit, *ctx);
+      // Apply restores the report to its pre-attempt image on failure,
+      // so the fault/retry tallies and the backoff charge are added
+      // once the retry loop resolves.
+      const RetryOutcome out = RetryWithBackoff(
+          [&] { return pool_->Apply(decision, *ctx, &report); },
+          EngineStage::kApply, observer_, tenant_, report.fault_view,
+          options_.fault, t, tenant_ord_);
+      report.fault_count += out.faults;
+      report.retry_count += out.retries;
+      report.materialize_seconds += out.backoff_seconds;
+      if (!out.status.ok()) {
+        // Permanent fault, or transient retries exhausted: abandon the
+        // decision. The pool is already rolled back; the query is
+        // answered from whatever is materialized.
+        report.degraded = true;
+        if (!report.fault_view.empty()) {
+          pool_->RecordViewFault(report.fault_view, t);
+        }
+        if (observer_ != nullptr) {
+          observer_->OnDegrade(EngineStage::kApply, report.fault_view,
+                               out.status, tenant_);
+        }
       }
       stage.Finish(report.materialize_seconds);
     }
 
     // Maintenance: merge co-accessed adjacent fragments (Section 11
-    // extension; disabled by default).
+    // extension; disabled by default). Same retry treatment, but no
+    // quarantine: merge faults are not attributable to a candidate view.
     if (options_.merge.enabled) {
       StageScope stage(observer_, EngineStage::kMerge, *ctx);
-      const double merge_seconds = ExecuteMergePass(*ctx, &report);
+      double merge_seconds = 0.0;
+      const RetryOutcome out = RetryWithBackoff(
+          [&] {
+            Result<double> seconds =
+                pool_->RunMergePass(ctx->t_now(), decay_, &report);
+            if (seconds.ok()) merge_seconds = *seconds;
+            return seconds.status();
+          },
+          EngineStage::kMerge, observer_, tenant_, /*fault_view=*/"",
+          options_.fault, t, tenant_ord_);
+      report.fault_count += out.faults;
+      report.retry_count += out.retries;
+      merge_seconds += out.backoff_seconds;
+      if (!out.status.ok()) {
+        report.degraded = true;
+        if (observer_ != nullptr) {
+          observer_->OnDegrade(EngineStage::kMerge, "", out.status, tenant_);
+        }
+      }
       report.materialize_seconds += merge_seconds;
       stage.Finish(merge_seconds);
     }
@@ -533,99 +507,9 @@ Result<QueryReport> DeepSeaEngine::ProcessQuery(const PlanPtr& query) {
   totals_.fragments_merged += report.merged_fragments;
   totals_.selection_benefit += report.selection_benefit;
   totals_.selection_swaps += report.selection_swaps;
-  totals_.selection_merged_candidates += report.selection_merged_candidates;
   if (!report.used_view.empty()) totals_.queries_answered_from_views += 1;
   if (observer_ != nullptr) observer_->OnQueryEnd(report);
   return report;
-}
-
-void DeepSeaEngine::ExecuteDecision(const SelectionDecision& decision,
-                                    const QueryContext& ctx,
-                                    QueryReport* report, int64_t t_now) {
-  const FaultHandlingConfig& fault = options_.fault;
-  const DeterministicBackoff backoff(fault.Backoff(),
-                                     BackoffSeed(t_now, tenant_ord_));
-  // Apply restores *report to its pre-attempt image on failure, so the
-  // running fault/retry tallies and the backoff charge live outside the
-  // report until the loop resolves.
-  int faults = report->fault_count;
-  int retries = report->retry_count;
-  double backoff_seconds = 0.0;
-  for (int attempt = 0;; ++attempt) {
-    Status st = pool_->Apply(decision, ctx, report);
-    if (st.ok()) {
-      report->fault_count = faults;
-      report->retry_count = retries;
-      report->materialize_seconds += backoff_seconds;
-      return;
-    }
-    ++faults;
-    if (observer_ != nullptr) {
-      observer_->OnFault(EngineStage::kApply, report->fault_view, st, attempt,
-                         tenant_);
-    }
-    if (st.IsTransient() && attempt < fault.max_retries) {
-      ++retries;
-      backoff_seconds += backoff.DelaySeconds(attempt);
-      if (observer_ != nullptr) {
-        observer_->OnRetry(EngineStage::kApply, attempt + 1, tenant_);
-      }
-      continue;
-    }
-    // Permanent fault, or transient retries exhausted: abandon the
-    // decision. The pool is already rolled back; the query is answered
-    // from whatever is materialized.
-    report->fault_count = faults;
-    report->retry_count = retries;
-    report->materialize_seconds += backoff_seconds;
-    report->degraded = true;
-    if (!report->fault_view.empty()) {
-      pool_->RecordViewFault(report->fault_view, t_now);
-    }
-    if (observer_ != nullptr) {
-      observer_->OnDegrade(EngineStage::kApply, report->fault_view, st,
-                           tenant_);
-    }
-    return;
-  }
-}
-
-double DeepSeaEngine::ExecuteMergePass(const QueryContext& ctx,
-                                       QueryReport* report) {
-  const FaultHandlingConfig& fault = options_.fault;
-  const DeterministicBackoff backoff(
-      fault.Backoff(), BackoffSeed(ctx.clock(), tenant_ord_));
-  int faults = report->fault_count;
-  int retries = report->retry_count;
-  double backoff_seconds = 0.0;
-  for (int attempt = 0;; ++attempt) {
-    Result<double> seconds = pool_->RunMergePass(ctx.t_now(), decay_, report);
-    if (seconds.ok()) {
-      report->fault_count = faults;
-      report->retry_count = retries;
-      return *seconds + backoff_seconds;
-    }
-    ++faults;
-    if (observer_ != nullptr) {
-      observer_->OnFault(EngineStage::kMerge, "", seconds.status(), attempt,
-                         tenant_);
-    }
-    if (seconds.status().IsTransient() && attempt < fault.max_retries) {
-      ++retries;
-      backoff_seconds += backoff.DelaySeconds(attempt);
-      if (observer_ != nullptr) {
-        observer_->OnRetry(EngineStage::kMerge, attempt + 1, tenant_);
-      }
-      continue;
-    }
-    report->fault_count = faults;
-    report->retry_count = retries;
-    report->degraded = true;
-    if (observer_ != nullptr) {
-      observer_->OnDegrade(EngineStage::kMerge, "", seconds.status(), tenant_);
-    }
-    return backoff_seconds;
-  }
 }
 
 Status DeepSeaEngine::PhysicalExecute(const CommitGuard& commit,

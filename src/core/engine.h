@@ -177,20 +177,6 @@ class DeepSeaEngine {
   /// stage runs for plain Hive.
   Status RunPlanningStages(QueryContext* ctx, QueryReport* report,
                            SelectionDecision* decision);
-  /// Executes `decision` through PoolManager::Apply with the configured
-  /// fault handling: transient faults are retried (up to
-  /// options_.fault.max_retries, each against the rolled-back pool);
-  /// permanent faults — or exhausted retries — abandon the decision,
-  /// mark the query degraded, and record the fault against the failing
-  /// view for quarantine. The query is answered either way. Runs inside
-  /// the commit section; `t_now` is the commit clock.
-  void ExecuteDecision(const SelectionDecision& decision,
-                       const QueryContext& ctx, QueryReport* report,
-                       int64_t t_now);
-  /// RunMergePass with the same retry/degrade treatment (no quarantine:
-  /// merge faults are not attributable to a candidate view). Returns the
-  /// simulated seconds to charge, including retry backoff.
-  double ExecuteMergePass(const QueryContext& ctx, QueryReport* report);
   /// Physically executes the plan and materializes selected view sample
   /// tables when physical execution is enabled. Runs inside `commit`.
   Status PhysicalExecute(const CommitGuard& commit, const PlanPtr& plan,

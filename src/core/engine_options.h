@@ -52,9 +52,8 @@ struct FaultHandlingConfig {
   int64_t quarantine_cooldown_commits = 50;
 
   /// This policy's retry-delay parameters as the shared backoff
-  /// helper's config (both the inline retry loop and the background
-  /// materialization workers construct their DeterministicBackoff from
-  /// it).
+  /// helper's config (RetryWithBackoff, core/fault_retry.h, builds its
+  /// DeterministicBackoff from it).
   BackoffConfig Backoff() const {
     BackoffConfig b;
     b.base_seconds = retry_backoff_seconds;
@@ -76,11 +75,6 @@ struct MaterializationConfig {
     /// Decisions execute inside the query's commit (historical
     /// behavior; the service is never constructed).
     kInline = 0,
-    /// Decisions route through the service's admission control but
-    /// still execute synchronously inside the query's commit, so every
-    /// golden trace stays bit-identical to kInline while the queue
-    /// accounting (and shed policy, under a tight bound) is live.
-    kDrain,
     /// Decisions are enqueued as background jobs; `workers` threads
     /// drain the queue through sharded commits with staleness
     /// revalidation. workers == 0 queues without draining (tests call
@@ -266,12 +260,10 @@ struct QueryReport {
   /// never-worse local-search guarantee covers — not the decision's
   /// benefit_score, which counts admitted new content only).
   double selection_benefit = 0.0;
-  /// Knapsack items the resolver ranked (post-clustering).
+  /// Knapsack items the resolver ranked.
   int selection_candidates = 0;
   /// Local search: improving swaps applied.
   int selection_swaps = 0;
-  /// Clustering: candidates merged away by the pre-pass.
-  int selection_merged_candidates = 0;
 };
 
 /// Aggregate counters across a workload run.
@@ -296,7 +288,6 @@ struct EngineTotals {
   int64_t commits_exclusive = 0;  ///< commits on the exclusive (X) path
   double selection_benefit = 0.0; ///< summed knapsack objective values
   int64_t selection_swaps = 0;    ///< local-search swaps applied
-  int64_t selection_merged_candidates = 0;  ///< clustering merges
 };
 
 }  // namespace deepsea

@@ -11,8 +11,8 @@
 #include <unistd.h>
 #endif
 
-#include "common/backoff.h"
 #include "common/str_util.h"
+#include "core/fault_retry.h"
 #include "core/pool_manager.h"
 #include "storage/fault_policy.h"
 
@@ -44,49 +44,15 @@ const double MaterializationService::kLatencyBucketBounds
 MaterializationService::MaterializationService(PoolManager* pool,
                                                MaterializationConfig config)
     : pool_(pool), config_(config) {
-  if (config_.mode == MaterializationConfig::Mode::kAsync) {
-    // workers == 0 is the manual-drain configuration: jobs queue until
-    // DrainAll / Quiesce executes them on a caller's thread (tests use
-    // it to observe queue buildup deterministically).
-    for (int i = 0; i < config_.workers; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
+  // workers == 0 is the manual-drain configuration: jobs queue until
+  // DrainAll / Quiesce executes them on a caller's thread (tests use it
+  // to observe queue buildup deterministically).
+  for (int i = 0; i < config_.workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 MaterializationService::~MaterializationService() { Shutdown(); }
-
-CommitFootprint MaterializationService::RevalidationFootprint(
-    const SelectionDecision& d) {
-  // Partition-structure reads only. By the conflict matrix
-  // (commit_footprint.h) these catch every foreign merge/load commit
-  // (which still publish `all`), every foreign materialization/eviction
-  // on a target partition (decision writes always publish partition
-  // entries), every foreign re-tracking of a target partition, and —
-  // since structural commits now publish precise per-view footprints
-  // with a partition entry per created view — every foreign creation
-  // touching a target view; while plain fragment writes (hit appends)
-  // and view-level statistics patches pass through. A dropped job is therefore exactly one whose target
-  // structure moved under it; repeated-template statistics traffic
-  // never invalidates the queue.
-  CommitFootprint fp;
-  for (const SelectionAction& a : d.actions) {
-    if (a.view == nullptr) continue;
-    switch (a.kind) {
-      case SelectionAction::Kind::kEvictWholeView:
-      case SelectionAction::Kind::kMaterializeView:
-        fp.AddPartition(a.view->id, "");
-        break;
-      case SelectionAction::Kind::kEvictFragment:
-      case SelectionAction::Kind::kMaterializeViewFragment:
-      case SelectionAction::Kind::kMaterializeRefinement:
-        if (a.part != nullptr) fp.AddPartition(a.view->id, a.part->attr);
-        break;
-    }
-  }
-  fp.Normalize();
-  return fp;
-}
 
 std::string MaterializationService::CoalesceKey(const SelectionDecision& d) {
   std::vector<std::string> keys;
@@ -150,22 +116,6 @@ void MaterializationService::Submit(MaterializationJob job) {
     notify = !queue_.empty();
   }
   if (notify) queue_cv_.notify_one();
-}
-
-bool MaterializationService::AdmitInline(double admitted_bytes,
-                                         double benefit_score) {
-  (void)benefit_score;  // nothing queued to outrank in drain mode
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  // Drain mode executes synchronously, so the queue is always empty;
-  // the bounds still gate the intent itself. At the default bounds
-  // (64 jobs, unbounded bytes) every intent is admitted, which is what
-  // keeps drain-mode traces bit-identical to inline execution.
-  if (config_.max_queue_jobs < 1 || admitted_bytes > config_.max_queue_bytes) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  executed_.fetch_add(1, std::memory_order_relaxed);
-  return true;
 }
 
 void MaterializationService::DrainAll() {
@@ -291,39 +241,19 @@ void MaterializationService::ExecuteJob(MaterializationJob job) {
   QueryReport report;
   report.tenant_id = job.tenant;
 
-  const FaultHandlingConfig& fault = pool_->options().fault;
-  // Same seed derivation as the inline retry path (engine.cc), so a
-  // decision retried in background backs off exactly as it would have
-  // inline.
-  const DeterministicBackoff backoff(
-      fault.Backoff(), static_cast<uint64_t>(job.t_now) * 0x9e3779b97f4a7c15ull +
-                           static_cast<uint64_t>(job.tenant_ord));
-
   if (job.observer != nullptr) {
     job.observer->OnStageStart(EngineStage::kApply, *job.ctx);
   }
   const auto stage_start = std::chrono::steady_clock::now();
-  double backoff_seconds = 0.0;
-  bool applied = false;
-  for (int attempt = 0;; ++attempt) {
-    Status st = pool_->Apply(job.decision, *job.ctx, &report);
-    if (st.ok()) {
-      applied = true;
-      break;
-    }
-    faults_.fetch_add(1, std::memory_order_relaxed);
-    if (job.observer != nullptr) {
-      job.observer->OnFault(EngineStage::kApply, report.fault_view, st,
-                            attempt, job.tenant);
-    }
-    if (st.IsTransient() && attempt < fault.max_retries) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      backoff_seconds += backoff.DelaySeconds(attempt);
-      if (job.observer != nullptr) {
-        job.observer->OnRetry(EngineStage::kApply, attempt + 1, job.tenant);
-      }
-      continue;
-    }
+  // The job backs off exactly as the decision would have inline: same
+  // helper, seeded from the issuing query's commit tick.
+  const RetryOutcome out = RetryWithBackoff(
+      [&] { return pool_->Apply(job.decision, *job.ctx, &report); },
+      EngineStage::kApply, job.observer, job.tenant, report.fault_view,
+      pool_->options().fault, job.t_now, job.tenant_ord);
+  faults_.fetch_add(out.faults, std::memory_order_relaxed);
+  retries_.fetch_add(out.retries, std::memory_order_relaxed);
+  if (!out.status.ok()) {
     // Permanent fault (or transient retries exhausted): abandon the
     // intent. The pool is already rolled back; the failure feeds the
     // view's quarantine record but no OnDegrade fires — the issuing
@@ -332,7 +262,6 @@ void MaterializationService::ExecuteJob(MaterializationJob job) {
     if (!report.fault_view.empty()) {
       pool_->RecordViewFault(report.fault_view, job.t_now);
     }
-    break;
   }
   if (job.observer != nullptr) {
     const double wall =
@@ -340,14 +269,14 @@ void MaterializationService::ExecuteJob(MaterializationJob job) {
                                       stage_start)
             .count();
     job.observer->OnStageEnd(EngineStage::kApply, *job.ctx,
-                             report.materialize_seconds + backoff_seconds,
+                             report.materialize_seconds + out.backoff_seconds,
                              wall);
   }
-  if (!applied) return;
+  if (!out.status.ok()) return;
 
   executed_.fetch_add(1, std::memory_order_relaxed);
   AtomicAddDouble(&background_sim_seconds_,
-                  report.materialize_seconds + backoff_seconds);
+                  report.materialize_seconds + out.backoff_seconds);
   const double latency =
       static_cast<double>(NowNs() - job.enqueued_ns) * 1e-9;
   latency_count_.fetch_add(1, std::memory_order_relaxed);

@@ -51,7 +51,7 @@ struct MaterializationJob {
   uint64_t read_epoch = 0;
   uint64_t skip_seq = 0;
   /// Upper bound on the decision's net pool growth (budget headroom
-  /// claim at the job's commit; see NetDecisionBytes in engine.cc) and
+  /// claim at the job's commit: materialized minus evicted bytes) and
   /// the decision's knapsack benefit (shed priority: lowest first).
   double admitted_bytes = 0.0;
   double benefit_score = 0.0;
@@ -104,23 +104,12 @@ class MaterializationService {
   MaterializationService(const MaterializationService&) = delete;
   MaterializationService& operator=(const MaterializationService&) = delete;
 
-  /// Builds the staleness revalidation read set for `decision`:
-  /// one partition-structure read per target partition ("" wildcard for
-  /// whole-view actions).
-  static CommitFootprint RevalidationFootprint(const SelectionDecision& d);
   /// Canonical coalesce key of a decision's target set.
   static std::string CoalesceKey(const SelectionDecision& d);
 
   /// kAsync submission: admission control (coalesce, shed) + enqueue +
   /// worker wakeup. Never blocks; a shed intent is dropped and counted.
   void Submit(MaterializationJob job);
-
-  /// kDrain admission: counts the intent and applies the shed policy
-  /// against the (empty-in-drain-mode) queue bound without enqueuing.
-  /// Returns true when the caller should execute the decision inline;
-  /// false when the intent was shed. At the default bounds this always
-  /// admits, keeping drain-mode traces bit-identical to inline.
-  bool AdmitInline(double admitted_bytes, double benefit_score);
 
   /// Executes queued jobs on the calling thread until the queue is
   /// empty (competing with any running workers). Safe outside commits.
@@ -144,7 +133,7 @@ class MaterializationService {
   static const double kLatencyBucketBounds[kLatencyBuckets];
 
   struct StatsSnapshot {
-    int64_t submitted = 0;      ///< Submit + AdmitInline intents
+    int64_t submitted = 0;      ///< Submit intents
     int64_t executed = 0;       ///< folded into the pool
     int64_t failed = 0;         ///< permanent fault / retries exhausted
     int64_t shed = 0;           ///< dropped by admission control

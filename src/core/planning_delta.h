@@ -25,16 +25,11 @@ class FilterTree;
 /// A per-engine lease of placeholder view ids, drawn in blocks from the
 /// pool's shared atomic counter (PoolManager::placeholder_counter()).
 ///
-/// Historically TrackView *predicted* the final "v<N>" id from the
-/// shared counter, which made every candidate-tracking plan read — and
-/// every creating commit write — the global `catalog_counter`, so two
-/// concurrent creators always conflicted and structural commits had to
-/// serialize. A reservation removes the counter from the planning read
-/// set: TrackView names the candidate with a process-unique placeholder
-/// ("c<M>") instead, and Fold assigns the real catalog id in commit
-/// order — so the golden "v1, v2, ..." sequence of a deterministic run
-/// is untouched, while concurrent creators with disjoint signatures
-/// commute.
+/// TrackView names each candidate with a process-unique placeholder
+/// ("c<M>") instead of reading the shared view-id counter, and Fold
+/// assigns the real catalog id in commit order — so a deterministic run
+/// still produces "v1, v2, ...", while concurrent creators with
+/// disjoint signatures commute instead of conflicting on the counter.
 ///
 /// Not thread-safe: one reservation belongs to one engine, and engines
 /// process one query at a time. The block lease (kBlockSize ids per
@@ -51,8 +46,7 @@ class ViewIdReservation {
   /// from the catalog's "v<N>" ids by construction).
   std::string NextPlaceholder();
 
-  /// True for ids produced by any ViewIdReservation (fold uses this to
-  /// tell reserved candidates from legacy predicted ids).
+  /// True for ids produced by any ViewIdReservation.
   static bool IsPlaceholder(const std::string& id) {
     return !id.empty() && id[0] == 'c';
   }
@@ -83,9 +77,10 @@ class ViewIdReservation {
 /// bit-identical to the historical mutate-in-place run. The mechanisms:
 ///
 ///  * Delta-owned views. ViewCatalog::Track calls become TrackView,
-///    which allocates the ViewInfo here with the id ViewCatalog *will*
-///    assign ("v<peek_next_id + k>"). Fold adopts the owned ViewInfo
-///    into the catalog (ViewCatalog::Adopt), preserving its address, so
+///    which allocates the ViewInfo here under a placeholder id. Fold
+///    renames it to the id ViewCatalog would assign
+///    ("v<peek_next_id + k>") and adopts the owned ViewInfo into the
+///    catalog (ViewCatalog::Adopt), preserving its address, so
 ///    candidate lists and decisions that captured the pointer stay
 ///    valid. Stats/partitions of delta-owned views are mutated directly
 ///    (nothing else can see them).
@@ -117,13 +112,11 @@ class ViewIdReservation {
 class PlanningDelta {
  public:
   /// Snapshots the planning catalog. `shared_views` is only read during
-  /// planning; Fold mutates it. With a `reservation`, TrackView names
-  /// new candidates with placeholder ids (no counter read) and Fold
-  /// assigns the final catalog ids in commit order; without one it
-  /// falls back to the legacy counter-predicted ids (direct-use tests
-  /// and single-threaded callers).
+  /// planning; Fold mutates it. TrackView names new candidates with
+  /// placeholder ids leased from `reservation` (no counter read) and
+  /// Fold assigns the final catalog ids in commit order.
   PlanningDelta(const Catalog& shared_catalog, ViewCatalog* shared_views,
-                double t_now, ViewIdReservation* reservation = nullptr);
+                double t_now, ViewIdReservation& reservation);
 
   PlanningDelta(const PlanningDelta&) = delete;
   PlanningDelta& operator=(const PlanningDelta&) = delete;
@@ -244,8 +237,8 @@ class PlanningDelta {
   // While planning runs under SharedLock(), the delta records which
   // shared state it depended on: view stats read by the value/filter
   // overlays, partition structure read when a shadow is created,
-  // signature catalog entries probed by FindView, and the view-id
-  // counter when TrackView predicts an id. BeginCommit validates this
+  // signature catalog entries probed by FindView, and pool membership
+  // when a contended knapsack weighed it. BeginCommit validates this
   // read footprint against the write footprints of commits that
   // published after the plan's read epoch (see commit_footprint.h).
 
@@ -310,7 +303,7 @@ class PlanningDelta {
   /// structure lock held exclusively when the commit is sharded
   /// (PoolManager::FoldPlanningDelta handles this).
   ///
-  /// Reservation-tracked views enter with placeholder ids; Fold assigns
+  /// Tracked views enter with placeholder ids; Fold assigns
   /// each its final "v<N>" id (in track order, which equals fold/commit
   /// order) immediately before adopting it, and renames the deferred
   /// view tables and index inserts to match. The placeholder -> final
@@ -319,7 +312,7 @@ class PlanningDelta {
   void Fold(ViewCatalog* views, Catalog* catalog, FilterTree* index);
 
   /// Rewrites placeholder view ids in `fp` to the final ids Fold
-  /// assigned. No-op before Fold or when nothing was reserved. The
+  /// assigned. No-op before Fold or when no view was tracked. The
   /// commit's publish footprint must be remapped before it reaches the
   /// epoch table: later plans read views under their final ids.
   void RemapFoldedIds(CommitFootprint* fp) const {
@@ -394,7 +387,7 @@ class PlanningDelta {
 
   const double t_now_;
   ViewCatalog* const shared_views_;
-  ViewIdReservation* const reservation_;
+  ViewIdReservation& reservation_;
   Catalog planning_catalog_;
 
   // Delta-owned views, in track order. unique_ptr keeps addresses

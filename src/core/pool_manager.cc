@@ -1131,8 +1131,8 @@ Status PoolManager::Apply(const SelectionDecision& decision,
   // Fold the planning delta *before* the decision transaction begins: a
   // storage fault rolls back the decision, not the statistics (the old
   // in-place code recorded them during planning, before Apply, too).
-  // Fold is idempotent, so the retry loop in ExecuteDecision may call
-  // Apply repeatedly with the same context.
+  // Fold is idempotent, so RetryWithBackoff may call Apply repeatedly
+  // with the same context.
   PlanningDelta* delta = ctx.delta();
   SelectionDecision remapped;
   const SelectionDecision* to_apply = &decision;

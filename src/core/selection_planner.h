@@ -41,7 +41,7 @@ class SelectionPlanner {
         views_(views) {}
 
   /// Produces this query's reconfiguration decision plus the
-  /// strategy's telemetry (swaps, merges, items considered).
+  /// strategy's telemetry (swaps, items considered).
   /// `base_seconds` is the query's conventional-plan cost (drives the
   /// fragment top-up filter).
   SelectionResolution PlanSelection(const QueryContext& ctx,

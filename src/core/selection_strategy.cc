@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 namespace deepsea {
 
@@ -12,28 +11,19 @@ const char* SelectionStrategyName(SelectionStrategyKind kind) {
       return "greedy";
     case SelectionStrategyKind::kLocalSearch:
       return "local_search";
-    case SelectionStrategyKind::kClusterGreedy:
-      return "cluster_greedy";
-    case SelectionStrategyKind::kClusterLocalSearch:
-      return "cluster_local_search";
   }
   return "greedy";
 }
 
 bool ParseSelectionStrategy(const std::string& name,
                             SelectionStrategyKind* out) {
-  if (name == "greedy") {
-    *out = SelectionStrategyKind::kGreedy;
-  } else if (name == "local_search") {
-    *out = SelectionStrategyKind::kLocalSearch;
-  } else if (name == "cluster" || name == "cluster_greedy") {
-    *out = SelectionStrategyKind::kClusterGreedy;
-  } else if (name == "cluster_local_search") {
-    *out = SelectionStrategyKind::kClusterLocalSearch;
-  } else {
-    return false;
+  for (SelectionStrategyKind kind : kSelectionStrategyKinds) {
+    if (name == SelectionStrategyName(kind)) {
+      *out = kind;
+      return true;
+    }
   }
-  return true;
+  return false;
 }
 
 namespace {
@@ -241,154 +231,6 @@ SelectionResolution ResolveLocalSearch(std::vector<SelectionCandidate> items,
   return res;
 }
 
-/// Union hull of two intervals, keeping the more inclusive endpoint
-/// when the bounds coincide.
-Interval HullOf(const Interval& a, const Interval& b) {
-  Interval h;
-  if (a.lo < b.lo) {
-    h.lo = a.lo;
-    h.lo_inclusive = a.lo_inclusive;
-  } else if (b.lo < a.lo) {
-    h.lo = b.lo;
-    h.lo_inclusive = b.lo_inclusive;
-  } else {
-    h.lo = a.lo;
-    h.lo_inclusive = a.lo_inclusive || b.lo_inclusive;
-  }
-  if (a.hi > b.hi) {
-    h.hi = a.hi;
-    h.hi_inclusive = a.hi_inclusive;
-  } else if (b.hi > a.hi) {
-    h.hi = b.hi;
-    h.hi_inclusive = b.hi_inclusive;
-  } else {
-    h.hi = a.hi;
-    h.hi_inclusive = a.hi_inclusive || b.hi_inclusive;
-  }
-  return h;
-}
-
-}  // namespace
-
-std::vector<SelectionCandidate> ClusterCandidates(
-    const std::vector<SelectionCandidate>& items, const SelectionConfig& config,
-    int* merged_away) {
-  if (merged_away != nullptr) *merged_away = 0;
-  // Only overlapping ranges may merge, even when the knob is zeroed.
-  const double min_overlap = std::max(config.cluster_min_overlap, 1e-9);
-
-  // Member indices per partition ordinal (never per pointer — part_ord
-  // is the planner's deterministic construction ordinal).
-  int max_ord = -1;
-  for (const SelectionCandidate& it : items) {
-    max_ord = std::max(max_ord, it.part_ord);
-  }
-  std::vector<std::vector<size_t>> groups(static_cast<size_t>(max_ord + 1));
-  for (size_t i = 0; i < items.size(); ++i) {
-    const SelectionCandidate& it = items[i];
-    if (!it.mergeable || it.part_ord < 0) continue;
-    if (it.kind != CandKind::kNewFragment &&
-        it.kind != CandKind::kNewViewFragment) {
-      continue;
-    }
-    groups[static_cast<size_t>(it.part_ord)].push_back(i);
-  }
-
-  std::vector<char> consumed(items.size(), 0);
-  std::map<size_t, SelectionCandidate> merged_at;  // rep index -> cluster
-
-  for (std::vector<size_t>& group : groups) {
-    if (group.size() < 2) continue;
-    // Sweep in range order; equal ranges fall back to item order.
-    std::sort(group.begin(), group.end(), [&](size_t a, size_t b) {
-      const Interval& ia = items[a].interval;
-      const Interval& ib = items[b].interval;
-      if (ia.lo != ib.lo) return ia.lo < ib.lo;
-      if (ia.hi != ib.hi) return ia.hi < ib.hi;
-      return a < b;
-    });
-
-    std::vector<size_t> members;
-    Interval hull;
-    double size = 0.0, value = 0.0;
-    auto flush = [&]() {
-      if (members.size() >= 2) {
-        const size_t rep = *std::min_element(members.begin(), members.end());
-        SelectionCandidate merged = items[members.front()];
-        // A merged cluster is applied as one refinement of the shared
-        // partition: MaterializeFragment tracks the hull itself, so the
-        // hull needs no pre-tracked FragmentStats entry.
-        merged.kind = CandKind::kNewFragment;
-        merged.interval = hull;
-        merged.size = size;
-        merged.value = value;
-        merged_at.emplace(rep, merged);
-        for (size_t m : members) consumed[m] = 1;
-        if (merged_away != nullptr) {
-          *merged_away += static_cast<int>(members.size()) - 1;
-        }
-      }
-      members.clear();
-    };
-    for (size_t idx : group) {
-      const SelectionCandidate& it = items[idx];
-      if (members.empty()) {
-        members.push_back(idx);
-        hull = it.interval;
-        size = it.size;
-        value = it.value;
-        continue;
-      }
-      const double ov = hull.OverlapWidth(it.interval);
-      const double shorter = std::min(hull.Width(), it.interval.Width());
-      const double frac = shorter > 0.0
-                              ? ov / shorter
-                              : (hull.Overlaps(it.interval) ? 1.0 : 0.0);
-      if (frac >= min_overlap) {
-        // Shared bytes are counted once at the sparser member's
-        // density; the clamp keeps the estimate physical when the
-        // densities disagree wildly.
-        const double hull_density =
-            hull.Width() > 0.0 ? size / hull.Width() : size;
-        const double item_density = it.interval.Width() > 0.0
-                                        ? it.size / it.interval.Width()
-                                        : it.size;
-        const double shared = ov * std::min(hull_density, item_density);
-        size = std::max(std::max(size, it.size), size + it.size - shared);
-        // Near-duplicates share most of their hit evidence: keep the
-        // stronger member's value plus the non-overlapping remainder of
-        // the weaker one's.
-        const double vmax = std::max(value, it.value);
-        const double vmin = std::min(value, it.value);
-        value = vmax + (1.0 - std::min(frac, 1.0)) * vmin;
-        hull = HullOf(hull, it.interval);
-        members.push_back(idx);
-      } else {
-        flush();
-        members.push_back(idx);
-        hull = it.interval;
-        size = it.size;
-        value = it.value;
-      }
-    }
-    flush();
-  }
-
-  std::vector<SelectionCandidate> out;
-  out.reserve(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    auto rep = merged_at.find(i);
-    if (rep != merged_at.end()) {
-      out.push_back(rep->second);
-    } else if (!consumed[i]) {
-      out.push_back(items[i]);
-    }
-  }
-  return out;
-}
-
-namespace {
-
 class GreedyStrategy : public SelectionStrategy {
  public:
   const char* name() const override { return "greedy"; }
@@ -405,50 +247,16 @@ class LocalSearchStrategy : public SelectionStrategy {
   }
 };
 
-class ClusterGreedyStrategy : public SelectionStrategy {
- public:
-  const char* name() const override { return "cluster_greedy"; }
-  SelectionResolution Resolve(const SelectionInput& input) const override {
-    int merged = 0;
-    std::vector<SelectionCandidate> reduced =
-        ClusterCandidates(input.items, input.config, &merged);
-    SelectionResolution res =
-        ResolveGreedy(std::move(reduced), input.budget_bytes);
-    res.candidates_merged = merged;
-    return res;
-  }
-};
-
-class ClusterLocalSearchStrategy : public SelectionStrategy {
- public:
-  const char* name() const override { return "cluster_local_search"; }
-  SelectionResolution Resolve(const SelectionInput& input) const override {
-    int merged = 0;
-    std::vector<SelectionCandidate> reduced =
-        ClusterCandidates(input.items, input.config, &merged);
-    SelectionResolution res =
-        ResolveLocalSearch(std::move(reduced), input.budget_bytes, input.config);
-    res.candidates_merged = merged;
-    return res;
-  }
-};
-
 }  // namespace
 
 const SelectionStrategy* SelectionStrategy::ForKind(SelectionStrategyKind kind) {
   static const GreedyStrategy greedy;
   static const LocalSearchStrategy local_search;
-  static const ClusterGreedyStrategy cluster_greedy;
-  static const ClusterLocalSearchStrategy cluster_local_search;
   switch (kind) {
     case SelectionStrategyKind::kGreedy:
       return &greedy;
     case SelectionStrategyKind::kLocalSearch:
       return &local_search;
-    case SelectionStrategyKind::kClusterGreedy:
-      return &cluster_greedy;
-    case SelectionStrategyKind::kClusterLocalSearch:
-      return &cluster_local_search;
   }
   return &greedy;
 }

@@ -67,22 +67,20 @@ enum class SelectionStrategyKind {
   /// than greedy in knapsack value (every applied move strictly raises
   /// the admitted total).
   kLocalSearch,
-  /// Clustering-based pre-selection (cs/0703114 seed): near-duplicate
-  /// new-fragment candidates of the same partition (range overlap >=
-  /// cluster_min_overlap) are merged into one covering candidate
-  /// before the greedy knapsack runs on the reduced set.
-  kClusterGreedy,
-  /// Clustering pre-selection feeding the local-search resolver.
-  kClusterLocalSearch,
 };
 
-/// Stable lowercase identifier ("greedy", "local_search",
-/// "cluster_greedy", "cluster_local_search") used by CLI flags, the
-/// QueryReport, and the strategy metrics labels.
+/// Every SelectionStrategyKind, in ordinal order (name parsing, CLI
+/// help text, tests).
+constexpr SelectionStrategyKind kSelectionStrategyKinds[] = {
+    SelectionStrategyKind::kGreedy,
+    SelectionStrategyKind::kLocalSearch,
+};
+
+/// Stable lowercase identifier ("greedy", "local_search") used by CLI
+/// flags, the QueryReport, and the strategy metrics labels.
 const char* SelectionStrategyName(SelectionStrategyKind kind);
 
-/// Parses a SelectionStrategyName (plus the "cluster" alias for
-/// kClusterGreedy). Returns false on an unknown name.
+/// Parses a SelectionStrategyName. Returns false on an unknown name.
 bool ParseSelectionStrategy(const std::string& name,
                             SelectionStrategyKind* out);
 
@@ -98,13 +96,6 @@ struct SelectionConfig {
   /// Local search: improvement rounds (swap sweep + fill pass) before
   /// giving up even when still improving.
   int local_search_max_rounds = 4;
-
-  /// Clustering: minimum overlap fraction — overlap length over the
-  /// shorter candidate's length — for two new-fragment candidates of
-  /// the same partition to be merged. 1.0 merges only exact
-  /// duplicates; values <= 0 would merge disjoint ranges and are
-  /// clamped to a minimal positive overlap requirement.
-  double cluster_min_overlap = 0.5;
 };
 
 /// One knapsack item handed to a SelectionStrategy: a candidate pool
@@ -127,14 +118,6 @@ struct SelectionCandidate {
   ViewInfo* view = nullptr;
   PartitionState* part = nullptr;
   Interval interval;
-  /// Dense ordinal of (view, attr) in item-construction order; -1 for
-  /// whole-view items. Strategies group by this — never by pointer
-  /// value, which is address-nondeterministic across runs.
-  int part_ord = -1;
-  /// True for new-fragment content the clustering pre-pass may merge
-  /// with an overlapping sibling (stamped by the planner: refinement
-  /// candidates, and planned top-up fragments of in-pool views).
-  bool mergeable = false;
 };
 
 /// Everything a strategy sees: the candidate item list in the
@@ -162,12 +145,10 @@ struct SelectionResolution {
   /// a new item for kept pool content, so only the objective carries
   /// the never-worse guarantee.
   double objective_value = 0.0;
-  /// Items the resolver ranked (post-clustering when a pre-pass ran).
+  /// Items the resolver ranked.
   int items_considered = 0;
   /// Local search: improving swaps applied this round.
   int swaps_applied = 0;
-  /// Clustering: candidates removed by merges (members - clusters).
-  int candidates_merged = 0;
 };
 
 /// The strategy seam: a pure, deterministic function from candidate
@@ -179,7 +160,7 @@ struct SelectionResolution {
 ///    opaque handles to copy into actions, never to dereference.
 ///  * Determinism — output is a pure function of the input. No wall
 ///    clock, no RNG that is not seeded from the input, and no ordering
-///    keyed on pointer values (use item order / part_ord).
+///    keyed on pointer values (use item order).
 ///  * Action ordering — evictions (rejected pool content) first, then
 ///    materializations; benefit_score sums the admitted new items'
 ///    values in emission order (float addition order is part of the
@@ -196,21 +177,6 @@ class SelectionStrategy {
 
   static const SelectionStrategy* ForKind(SelectionStrategyKind kind);
 };
-
-/// The clustering pre-pass on its own (exposed for tests and for
-/// composing resolvers): merges runs of mergeable same-partition
-/// new-fragment candidates whose ranges overlap by at least
-/// `config.cluster_min_overlap` of the shorter range. Each merged
-/// candidate covers its members' intervals (interval = hull), carries
-/// kind kNewFragment (applied as a refinement, which self-tracks its
-/// interval), a density-scaled size estimate, and a value of
-/// max(member values) + (1 - overlap) * min (near-duplicates share
-/// most of their hit evidence; the non-overlapping remainder of the
-/// weaker member still contributes). `merged_away` receives the number
-/// of candidates removed (members minus surviving clusters).
-std::vector<SelectionCandidate> ClusterCandidates(
-    const std::vector<SelectionCandidate>& items,
-    const SelectionConfig& config, int* merged_away);
 
 }  // namespace deepsea
 

@@ -107,8 +107,8 @@ class ViewCatalog {
 
   /// Adopts a view allocated outside the catalog (a PlanningDelta's
   /// speculative Track). The view's id must equal the id Track() would
-  /// assign next — callers predict it via peek_next_id(), and commit-
-  /// epoch validation guarantees the prediction still holds. The
+  /// assign next — callers derive it from peek_next_id() inside the
+  /// commit section that adopts it. The
   /// ViewInfo's address is preserved, so pointers captured during
   /// planning remain valid after adoption.
   ViewInfo* Adopt(std::unique_ptr<ViewInfo> view);

@@ -27,7 +27,7 @@ const char* const
 // (selection_strategy_test pins the correspondence).
 const char* const
     MetricsObserver::kSelectionStrategyNames[kSelectionStrategyCount] = {
-        "greedy", "local_search", "cluster_greedy", "cluster_local_search"};
+        "greedy", "local_search"};
 
 namespace {
 
@@ -264,8 +264,6 @@ void MetricsObserver::OnQueryEnd(const QueryReport& report) {
     AtomicAddDouble(&t->selection_benefit[strat], report.selection_benefit);
     t->selection_swaps[strat].fetch_add(report.selection_swaps,
                                         std::memory_order_relaxed);
-    t->selection_merged[strat].fetch_add(report.selection_merged_candidates,
-                                         std::memory_order_relaxed);
   }
   t->query_sim.count.fetch_add(1, std::memory_order_relaxed);
   AtomicAddDouble(&t->query_sim.sum, report.total_seconds);
@@ -328,7 +326,6 @@ MetricsObserver::MetricsSnapshot::Totals() const {
       total.selection_decisions[i] += t.selection_decisions[i];
       total.selection_benefit[i] += t.selection_benefit[i];
       total.selection_swaps[i] += t.selection_swaps[i];
-      total.selection_merged[i] += t.selection_merged[i];
       AddHistogram(t.selection_wall[i], &total.selection_wall[i]);
     }
     for (size_t s = 0; s < kStageCount; ++s) {
@@ -382,8 +379,6 @@ MetricsObserver::MetricsSnapshot MetricsObserver::TakeSnapshot() const {
             t->selection_benefit[i].load(std::memory_order_relaxed);
         out.selection_swaps[i] =
             t->selection_swaps[i].load(std::memory_order_relaxed);
-        out.selection_merged[i] =
-            t->selection_merged[i].load(std::memory_order_relaxed);
         CopyHistogram(t->selection_wall[i].count, t->selection_wall[i].sum,
                       t->selection_wall[i].buckets, &out.selection_wall[i]);
       }
@@ -549,10 +544,9 @@ const std::vector<MetricInfo>& MetricsObserver::Registry() {
        "tenant", false, false},
       {"deepsea_selection_strategy_info", "gauge",
        "1 for every selection strategy that has resolved at least one "
-       "decision for the tenant (greedy, local_search, cluster_greedy, "
-       "cluster_local_search). Join target for the per-strategy "
-       "counters; a healthy single-strategy deployment exports exactly "
-       "one cell per tenant.",
+       "decision for the tenant (greedy, local_search). Join target for "
+       "the per-strategy counters; a healthy single-strategy deployment "
+       "exports exactly one cell per tenant.",
        "strategy,tenant", false, false},
       {"deepsea_selection_decisions_total", "counter",
        "Selection rounds resolved, by strategy. Only strategies with at "
@@ -566,12 +560,7 @@ const std::vector<MetricInfo>& MetricsObserver::Registry() {
        "the quantity local search never lowers vs its greedy seed.",
        "strategy,tenant", false, false},
       {"deepsea_selection_swaps_total", "counter",
-       "Local-search improving swaps applied (0 for greedy and "
-       "cluster_greedy).",
-       "strategy,tenant", false, false},
-      {"deepsea_selection_merged_candidates_total", "counter",
-       "Candidates merged away by the clustering pre-pass (0 for "
-       "greedy and local_search).",
+       "Local-search improving swaps applied (0 for greedy).",
        "strategy,tenant", false, false},
       {"deepsea_selection_wall_seconds", "histogram",
        "Host wall-clock seconds spent in the selection stage, by "
@@ -632,7 +621,7 @@ const std::vector<MetricInfo>& MetricsObserver::Registry() {
        "", true, true},
       {"deepsea_mat_queue_depth", "gauge",
        "Decision intents queued in the background materialization "
-       "service (0 in inline/drain modes).",
+       "service (0 in inline mode).",
        "", false, true},
       {"deepsea_mat_queue_bytes", "gauge",
        "Summed admitted (estimated materialization) bytes of queued "
@@ -643,8 +632,7 @@ const std::vector<MetricInfo>& MetricsObserver::Registry() {
        "workers cannot keep up with submission.",
        "", true, true},
       {"deepsea_mat_enqueued_total", "counter",
-       "Decision intents submitted to the materialization service "
-       "(async enqueues and drain-mode admissions).",
+       "Decision intents submitted to the materialization service.",
        "", false, true},
       {"deepsea_mat_executed_total", "counter",
        "Intents whose decision was folded into the pool.", "", false,
@@ -808,10 +796,6 @@ std::string MetricsObserver::RenderPrometheusText(
   strategy_counter("deepsea_selection_swaps_total",
                    [](const auto& t, size_t i) {
                      return double(t.selection_swaps[i]);
-                   });
-  strategy_counter("deepsea_selection_merged_candidates_total",
-                   [](const auto& t, size_t i) {
-                     return double(t.selection_merged[i]);
                    });
   if (header("deepsea_selection_wall_seconds") != nullptr) {
     for (const auto& [tenant, t] : snap.tenants) {

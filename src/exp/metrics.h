@@ -88,7 +88,7 @@ class MetricsObserver : public EngineObserver {
   /// order; indices follow SelectionStrategyKind, names match
   /// SelectionStrategyName. Only strategies that resolved at least one
   /// decision are exported.
-  static constexpr size_t kSelectionStrategyCount = 4;
+  static constexpr size_t kSelectionStrategyCount = 2;
   static const char* const kSelectionStrategyNames[kSelectionStrategyCount];
 
   MetricsObserver() = default;
@@ -169,11 +169,10 @@ class MetricsObserver : public EngineObserver {
       double evicted_bytes = 0.0;
       /// Per selection strategy (index into kSelectionStrategyNames):
       /// decisions resolved, summed benefit scores, local-search swaps,
-      /// clustering merges, and the selection stage's wall latency.
+      /// and the selection stage's wall latency.
       std::array<int64_t, kSelectionStrategyCount> selection_decisions{};
       std::array<double, kSelectionStrategyCount> selection_benefit{};
       std::array<int64_t, kSelectionStrategyCount> selection_swaps{};
-      std::array<int64_t, kSelectionStrategyCount> selection_merged{};
       std::array<Histogram, kSelectionStrategyCount> selection_wall{};
       std::array<Histogram, kStageCount> stage_sim{};
       std::array<Histogram, kStageCount> stage_wall{};
@@ -202,7 +201,7 @@ class MetricsObserver : public EngineObserver {
       /// series are still rendered so the scrape schema does not change
       /// with the mode.
       struct Materialization {
-        bool configured = false;  ///< pool has a service (kDrain/kAsync)
+        bool configured = false;  ///< pool has a service (kAsync)
         int64_t queue_depth = 0;
         double queue_bytes = 0.0;
         /// Host age of the oldest queued intent (0 when empty).
@@ -297,8 +296,6 @@ class MetricsObserver : public EngineObserver {
         selection_benefit{};
     std::array<std::atomic<int64_t>, kSelectionStrategyCount>
         selection_swaps{};
-    std::array<std::atomic<int64_t>, kSelectionStrategyCount>
-        selection_merged{};
     std::array<QuerySeries, kSelectionStrategyCount> selection_wall{};
     std::array<StageSeries, kStageCount> stages{};
     QuerySeries query_sim{};

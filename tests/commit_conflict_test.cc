@@ -611,7 +611,9 @@ TEST(PlanningDeltaFoldTest, ReadOnlyShadowSurvivesForeignBaseGrowth) {
   part->Track(Interval(0, 50), 10.0);
   part->Track(Interval(50, 100), 20.0);
 
-  PlanningDelta delta(catalog, &views, /*t_now=*/1.0);
+  std::atomic<int64_t> placeholders{0};
+  ViewIdReservation reservation(&placeholders);
+  PlanningDelta delta(catalog, &views, /*t_now=*/1.0, reservation);
   PartitionState* shadow = delta.Partition(v, "a.x");
   ASSERT_NE(shadow, nullptr);
   ASSERT_NE(shadow, part);  // shared view: reads go through a shadow

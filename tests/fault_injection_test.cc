@@ -5,8 +5,9 @@
 // rollback restores pool metadata, FS files, and statistics together),
 // (c) retry transient faults and degrade gracefully on permanent ones,
 // (d) quarantine repeatedly failing views and re-admit them after the
-// cooldown, and (e) stay bit-identical to a fault-free run when the
-// machinery is installed but never fires.
+// cooldown, (e) give the merge pass and background materialization
+// jobs the same retry treatment, and (f) stay bit-identical to a
+// fault-free run when the machinery is installed but never fires.
 
 #include <algorithm>
 #include <cstdio>
@@ -490,6 +491,207 @@ TEST(FaultRecoveryTest, ForegroundScopedRuleDoesNotFireInBackground) {
   EXPECT_EQ(policy.faults_injected(), 0);
   EXPECT_GT(engine.PoolBytes(), 0.0);
   EXPECT_EQ(engine.totals().queries_degraded, 0);
+}
+
+// ---------------------------------------------------------------------
+// Merge-pass faults. The merge pass runs its own retry/degrade
+// treatment; these cases fault it, and only it, to pin that behavior.
+
+/// Fails guarded storage operations only while the engine is inside the
+/// merge stage: the observer half arms the policy when the kMerge stage
+/// opens and disarms it when it closes, so Apply's writes never fault.
+/// At most `budget` operations fail, with `code`.
+class MergeStageFaults : public TraceObserver, public FaultPolicy {
+ public:
+  MergeStageFaults(int budget, StatusCode code)
+      : TraceObserver("merge_faults", nullptr), budget_(budget), code_(code) {}
+
+  Status Inject(FsOp op, const std::string& path) override {
+    (void)op;
+    (void)path;
+    if (!armed_ || budget_ == 0) return Status::OK();
+    --budget_;
+    return Status(code_, "injected merge-pass fault");
+  }
+
+  void OnStageStart(EngineStage stage, const QueryContext& ctx) override {
+    TraceObserver::OnStageStart(stage, ctx);
+    if (stage == EngineStage::kMerge) armed_ = true;
+  }
+  void OnStageEnd(EngineStage stage, const QueryContext& ctx,
+                  double sim_seconds, double wall_seconds) override {
+    TraceObserver::OnStageEnd(stage, ctx, sim_seconds, wall_seconds);
+    if (stage == EngineStage::kMerge) armed_ = false;
+  }
+
+ private:
+  bool armed_ = false;
+  int budget_;
+  StatusCode code_;
+};
+
+/// The EngineMergeTest workload: two overlapping ranges queried in
+/// turn, so their fragments are co-accessed and eventually merge.
+EngineOptions MergeOptions() {
+  EngineOptions opts;
+  opts.benefit_cost_threshold = 0.02;
+  opts.enforce_block_lower_bound = false;
+  opts.merge.enabled = true;
+  opts.merge.min_co_access = 0.45;
+  opts.merge.max_merged_fraction = 0.5;
+  opts.merge.min_hits = 2;
+  return opts;
+}
+
+std::vector<PlanPtr> MergeWorkload() {
+  std::vector<PlanPtr> out;
+  for (int i = 0; i < 12; ++i) {
+    for (double hi : {180000.0, 220000.0}) {
+      auto plan = BigBenchTemplates::Build("Q30", 100000, hi);
+      EXPECT_TRUE(plan.ok());
+      out.push_back(*plan);
+    }
+  }
+  return out;
+}
+
+// A transient merge-pass fault is retried against the rolled-back pool:
+// the retry performs the same merge a fault-free twin performs, the
+// query is charged the backoff on top, and it is not degraded.
+TEST(FaultRecoveryTest, MergePassTransientFaultRetriesAndChargesBackoff) {
+  EngineOptions opts = MergeOptions();
+  opts.fault.max_retries = 2;
+  opts.fault.retry_backoff_seconds = 500.0;
+  Catalog twin_catalog = MakeCatalog();
+  DeepSeaEngine twin(&twin_catalog, opts);
+  Catalog catalog = MakeCatalog();
+  DeepSeaEngine engine(&catalog, opts);
+  MergeStageFaults faults(/*budget=*/1, StatusCode::kUnavailable);
+  engine.mutable_pool()->SetFaultPolicy(&faults);
+  engine.set_observer(&faults);
+
+  int faulted_queries = 0;
+  for (const PlanPtr& plan : MergeWorkload()) {
+    auto expected = twin.ProcessQuery(plan);
+    auto report = engine.ProcessQuery(plan);
+    ASSERT_TRUE(expected.ok());
+    ASSERT_TRUE(report.ok());
+    if (report->fault_count == 0) {
+      EXPECT_EQ(report->materialize_seconds, expected->materialize_seconds);
+      continue;
+    }
+    ++faulted_queries;
+    EXPECT_EQ(report->fault_count, 1);
+    EXPECT_EQ(report->retry_count, 1);
+    EXPECT_FALSE(report->degraded);
+    EXPECT_GT(report->merged_fragments, 0);
+    EXPECT_EQ(report->merged_fragments, expected->merged_fragments);
+    EXPECT_NEAR(report->materialize_seconds,
+                expected->materialize_seconds + 500.0, 1e-6);
+  }
+  ASSERT_EQ(faulted_queries, 1) << "no merge pass touched storage";
+  EXPECT_EQ(faults.faults(), 1);
+  EXPECT_EQ(faults.retries(), 1);
+  EXPECT_EQ(faults.degrades(), 0);
+  const std::string csv = faults.FaultEventsCsv();
+  EXPECT_NE(csv.find("fault,merge"), std::string::npos) << csv;
+  EXPECT_NE(csv.find("retry,merge"), std::string::npos) << csv;
+  EXPECT_EQ(mt::PoolFingerprint(engine.pool()),
+            mt::PoolFingerprint(twin.pool()));
+}
+
+// A permanent merge-pass fault degrades the query (OnDegrade(kMerge))
+// but records no quarantine: merge faults name no candidate view.
+TEST(FaultRecoveryTest, MergePassPermanentFaultDegradesWithoutQuarantine) {
+  EngineOptions opts = MergeOptions();
+  opts.fault.quarantine_threshold = 1;  // any recorded fault quarantines
+  Catalog catalog = MakeCatalog();
+  DeepSeaEngine engine(&catalog, opts);
+  MergeStageFaults faults(/*budget=*/1, StatusCode::kInternal);
+  engine.mutable_pool()->SetFaultPolicy(&faults);
+  engine.set_observer(&faults);
+
+  int faulted_queries = 0;
+  for (const PlanPtr& plan : MergeWorkload()) {
+    auto report = engine.ProcessQuery(plan);
+    ASSERT_TRUE(report.ok());
+    if (report->fault_count == 0) continue;
+    ++faulted_queries;
+    EXPECT_EQ(report->fault_count, 1);
+    EXPECT_EQ(report->retry_count, 0);
+    EXPECT_TRUE(report->degraded);
+    EXPECT_EQ(report->merged_fragments, 0);
+    EXPECT_TRUE(report->fault_view.empty());
+  }
+  ASSERT_EQ(faulted_queries, 1) << "no merge pass touched storage";
+  EXPECT_EQ(faults.degrades(), 1);
+  EXPECT_EQ(faults.retries(), 0);
+  EXPECT_NE(faults.FaultEventsCsv().find("degrade,merge"), std::string::npos)
+      << faults.FaultEventsCsv();
+  EXPECT_EQ(engine.totals().queries_degraded, 1);
+  for (const ViewInfo* v : engine.views().AllViews()) {
+    EXPECT_FALSE(v->Quarantined(engine.now())) << v->id;
+  }
+  EXPECT_NEAR(engine.PoolBytes(), engine.fs().TotalBytes("pool/"),
+              1.0 + engine.PoolBytes() * 1e-9);
+}
+
+// A transient fault inside a background job is retried there: the
+// backoff is charged to the service's background seconds, not to any
+// query, and nothing degrades.
+TEST(FaultRecoveryTest, BackgroundJobRetryChargesBackgroundSeconds) {
+  EngineOptions opts;
+  opts.benefit_cost_threshold = 0.0;
+  opts.fault.max_retries = 2;
+  opts.fault.retry_backoff_seconds = 7.5;
+  opts.materialization.mode = MaterializationConfig::Mode::kAsync;
+  opts.materialization.workers = 0;
+  auto plan = BigBenchTemplates::Build("Q30", 100000, 180000);
+  ASSERT_TRUE(plan.ok());
+
+  Catalog twin_catalog = MakeCatalog();
+  DeepSeaEngine twin(&twin_catalog, opts);
+  ASSERT_TRUE(twin.ProcessQuery(*plan).ok());
+  twin.pool().materialization_service()->DrainAll();
+  const auto expected = twin.pool().materialization_service()->stats();
+
+  Catalog catalog = MakeCatalog();
+  DeepSeaEngine engine(&catalog, opts);
+  ScheduledFaultPolicy policy(/*seed=*/9);
+  FaultRule rule;
+  rule.ops = {FsOp::kPut};
+  rule.path_substring = "pool/";
+  rule.scope = FaultScope::kBackground;
+  rule.every_nth = 1;
+  rule.max_failures = 1;
+  rule.transient = true;
+  policy.AddRule(rule);
+  engine.mutable_pool()->SetFaultPolicy(&policy);
+  TraceObserver obs("fault", nullptr);
+  engine.set_observer(&obs);
+
+  auto report = engine.ProcessQuery(*plan);
+  ASSERT_TRUE(report.ok());
+  MaterializationService* mat = engine.pool().materialization_service();
+  ASSERT_NE(mat, nullptr);
+  mat->DrainAll();
+
+  const auto s = mat->stats();
+  EXPECT_EQ(s.faults, 1);
+  EXPECT_EQ(s.retries, 1);
+  EXPECT_EQ(s.executed, 1);
+  EXPECT_EQ(s.failed, 0);
+  EXPECT_GT(expected.background_sim_seconds, 0.0);
+  EXPECT_NEAR(s.background_sim_seconds,
+              expected.background_sim_seconds + 7.5, 1e-6);
+  EXPECT_FALSE(report->degraded);
+  EXPECT_EQ(report->fault_count, 0);
+  EXPECT_EQ(engine.totals().queries_degraded, 0);
+  EXPECT_EQ(obs.faults(), 1);
+  EXPECT_EQ(obs.retries(), 1);
+  EXPECT_EQ(obs.degrades(), 0);
+  EXPECT_NE(obs.FaultEventsCsv().find("retry,apply"), std::string::npos)
+      << obs.FaultEventsCsv();
 }
 
 // ---------------------------------------------------------------------

@@ -122,6 +122,8 @@ class PipelineStageTest : public ::testing::Test {
     selector_ = std::make_unique<SelectionPlanner>(
         &catalog_, &options_, cluster_.get(), decay_.get(), mle_.get(),
         pool_->stat(commit_));
+    reservation_ =
+        std::make_unique<ViewIdReservation>(pool_->placeholder_counter());
   }
 
   // Drives one query through all four stages (the orchestration
@@ -131,7 +133,7 @@ class PipelineStageTest : public ::testing::Test {
     QueryReport report;
     report.query_index = clock;
     QueryContext ctx(query, clock);
-    ctx.InitPlanning(catalog_, pool_->stat(commit_));
+    ctx.InitPlanning(catalog_, pool_->stat(commit_), *reservation_);
     EXPECT_TRUE(rewriter_->PlanBase(&ctx, &report).ok());
     EXPECT_TRUE(rewriter_->PlanBest(&ctx, &report).ok());
     const PlanPtr candidate_plan =
@@ -159,6 +161,7 @@ class PipelineStageTest : public ::testing::Test {
   std::unique_ptr<RewritePlanner> rewriter_;
   std::unique_ptr<CandidateGenerator> generator_;
   std::unique_ptr<SelectionPlanner> selector_;
+  std::unique_ptr<ViewIdReservation> reservation_;
 };
 
 TEST_F(PipelineStageTest, RewritePlannerComputesBaseThenPicksViewRewriting) {
@@ -167,7 +170,7 @@ TEST_F(PipelineStageTest, RewritePlannerComputesBaseThenPicksViewRewriting) {
 
   // First query: no views exist, so the base plan is the best plan.
   QueryContext ctx(query, 1);
-  ctx.InitPlanning(catalog_, pool_->stat(commit_));
+  ctx.InitPlanning(catalog_, pool_->stat(commit_), *reservation_);
   QueryReport report;
   ASSERT_TRUE(rewriter_->PlanBase(&ctx, &report).ok());
   EXPECT_NE(ctx.base_plan, nullptr);
@@ -197,7 +200,7 @@ TEST_F(PipelineStageTest, CandidateGeneratorRegistersViewsAndPartitions) {
   const PlanPtr query = MakeQuery(name, 1000.0, 150000.0);
 
   QueryContext ctx(query, 1);
-  ctx.InitPlanning(catalog_, pool_->stat(commit_));
+  ctx.InitPlanning(catalog_, pool_->stat(commit_), *reservation_);
   QueryReport report;
   ASSERT_TRUE(rewriter_->PlanBase(&ctx, &report).ok());
   generator_->RegisterViewCandidates(ctx.query, report.base_seconds, &ctx);
@@ -250,7 +253,7 @@ TEST_F(PipelineStageTest, SelectionPlannerIsSideEffectFreeUntilApply) {
 
   const int64_t clock = pool_->Tick(commit_);
   QueryContext ctx(query, clock);
-  ctx.InitPlanning(catalog_, pool_->stat(commit_));
+  ctx.InitPlanning(catalog_, pool_->stat(commit_), *reservation_);
   QueryReport report;
   report.query_index = clock;
   ASSERT_TRUE(rewriter_->PlanBase(&ctx, &report).ok());

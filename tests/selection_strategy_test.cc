@@ -11,15 +11,13 @@
 //    sets — including the "search is alive" half: some instances must
 //    improve strictly, which regressed once when the move generator
 //    could provably never fire from a greedy-by-value seed;
-//  * clustering merge correctness: a merged candidate covers its
-//    members' ranges, non-mergeable content passes through untouched,
-//    and the overlap knob behaves at its extremes;
 //  * strategy-under-turnstile determinism: a threaded run pinned to a
 //    commit schedule is bit-identical to a sequential replay with the
-//    non-default strategies, reusing tests/multitenant_harness.h.
+//    non-default strategy, reusing tests/multitenant_harness.h.
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -39,17 +37,10 @@ namespace {
 using CandKind = SelectionCandidate::Kind;
 using ActKind = SelectionAction::Kind;
 
-constexpr SelectionStrategyKind kAllKinds[] = {
-    SelectionStrategyKind::kGreedy,
-    SelectionStrategyKind::kLocalSearch,
-    SelectionStrategyKind::kClusterGreedy,
-    SelectionStrategyKind::kClusterLocalSearch,
-};
-
 // --- names, parsing, metrics-label correspondence ---
 
 TEST(SelectionStrategyNameTest, NamesParseBackAndMatchInstances) {
-  for (SelectionStrategyKind kind : kAllKinds) {
+  for (SelectionStrategyKind kind : kSelectionStrategyKinds) {
     const char* name = SelectionStrategyName(kind);
     SelectionStrategyKind parsed;
     ASSERT_TRUE(ParseSelectionStrategy(name, &parsed)) << name;
@@ -57,8 +48,8 @@ TEST(SelectionStrategyNameTest, NamesParseBackAndMatchInstances) {
     EXPECT_STREQ(SelectionStrategy::ForKind(kind)->name(), name);
   }
   SelectionStrategyKind parsed;
-  EXPECT_TRUE(ParseSelectionStrategy("cluster", &parsed));
-  EXPECT_EQ(parsed, SelectionStrategyKind::kClusterGreedy);
+  EXPECT_FALSE(ParseSelectionStrategy("cluster", &parsed));
+  EXPECT_FALSE(ParseSelectionStrategy("cluster_greedy", &parsed));
   EXPECT_FALSE(ParseSelectionStrategy("knapsack", &parsed));
   EXPECT_FALSE(ParseSelectionStrategy("", &parsed));
 }
@@ -68,10 +59,10 @@ TEST(SelectionStrategyNameTest, NamesParseBackAndMatchInstances) {
 // (metrics.cc indexes kSelectionStrategyNames with the kind's name).
 TEST(SelectionStrategyNameTest, MetricsLabelTableMatchesKindOrder) {
   ASSERT_EQ(MetricsObserver::kSelectionStrategyCount,
-            sizeof(kAllKinds) / sizeof(kAllKinds[0]));
+            std::size(kSelectionStrategyKinds));
   for (size_t i = 0; i < MetricsObserver::kSelectionStrategyCount; ++i) {
     EXPECT_STREQ(MetricsObserver::kSelectionStrategyNames[i],
-                 SelectionStrategyName(kAllKinds[i]))
+                 SelectionStrategyName(kSelectionStrategyKinds[i]))
         << "ordinal " << i;
   }
 }
@@ -79,15 +70,12 @@ TEST(SelectionStrategyNameTest, MetricsLabelTableMatchesKindOrder) {
 // --- greedy-as-strategy equivalence with the historical inline scan ---
 
 SelectionCandidate Item(CandKind kind, double value, double size,
-                        double lo = 0.0, double hi = 0.0, int part_ord = -1,
-                        bool mergeable = false) {
+                        double lo = 0.0, double hi = 0.0) {
   SelectionCandidate c;
   c.kind = kind;
   c.value = value;
   c.size = size;
   c.interval = Interval(lo, hi);
-  c.part_ord = part_ord;
-  c.mergeable = mergeable;
   return c;
 }
 
@@ -154,7 +142,7 @@ SelectionDecision HistoricalGreedy(std::vector<SelectionCandidate> items,
   return decision;
 }
 
-SelectionInput RandomInstance(uint64_t seed, int items, int parts,
+SelectionInput RandomInstance(uint64_t seed, int items,
                               double budget_fraction) {
   Rng rng(seed);
   SelectionInput in;
@@ -166,8 +154,6 @@ SelectionInput RandomInstance(uint64_t seed, int items, int parts,
     c.size = rng.Uniform(1e6, 5e8);
     if (c.kind == CandKind::kNewFragment ||
         c.kind == CandKind::kNewViewFragment) {
-      c.part_ord = static_cast<int>(rng.UniformInt(0, parts - 1));
-      c.mergeable = true;
       const double lo = rng.Uniform(0.0, 350000.0);
       c.interval = Interval(lo, lo + rng.Uniform(1000.0, 50000.0));
     }
@@ -180,7 +166,7 @@ SelectionInput RandomInstance(uint64_t seed, int items, int parts,
 
 TEST(GreedyStrategyTest, BitIdenticalToHistoricalInlineScan) {
   for (uint64_t seed : {1u, 2u, 3u, 40u, 500u}) {
-    SelectionInput in = RandomInstance(seed, 64, 5, 0.4);
+    SelectionInput in = RandomInstance(seed, 64, 0.4);
     const SelectionDecision expected = HistoricalGreedy(in.items, in.budget_bytes);
     const SelectionResolution res =
         SelectionStrategy::ForKind(SelectionStrategyKind::kGreedy)->Resolve(in);
@@ -197,7 +183,6 @@ TEST(GreedyStrategyTest, BitIdenticalToHistoricalInlineScan) {
           << i;
     }
     EXPECT_EQ(res.swaps_applied, 0);
-    EXPECT_EQ(res.candidates_merged, 0);
     EXPECT_EQ(res.items_considered, static_cast<int>(in.items.size()));
   }
 }
@@ -242,23 +227,14 @@ TEST(LocalSearchStrategyTest, NeverWorseThanGreedyOnSeededInstances) {
       SelectionStrategy::ForKind(SelectionStrategyKind::kGreedy);
   const SelectionStrategy* ls =
       SelectionStrategy::ForKind(SelectionStrategyKind::kLocalSearch);
-  const SelectionStrategy* cg =
-      SelectionStrategy::ForKind(SelectionStrategyKind::kClusterGreedy);
-  const SelectionStrategy* cls =
-      SelectionStrategy::ForKind(SelectionStrategyKind::kClusterLocalSearch);
   int strict_improvements = 0;
   for (int s = 0; s < 200; ++s) {
-    const SelectionInput in = RandomInstance(7000 + s, 80, 6, 0.4);
+    const SelectionInput in = RandomInstance(7000 + s, 80, 0.4);
     const SelectionResolution g = greedy->Resolve(in);
     const SelectionResolution l = ls->Resolve(in);
     ASSERT_GE(l.objective_value, g.objective_value - 1e-9) << "seed " << s;
     if (l.objective_value > g.objective_value + 1e-9) ++strict_improvements;
     EXPECT_LE(l.swaps_applied, in.config.local_search_max_swaps);
-    // The clustered pair resolves the same reduced candidate set, so
-    // the invariant holds there too.
-    const SelectionResolution gc = cg->Resolve(in);
-    const SelectionResolution lc = cls->Resolve(in);
-    ASSERT_GE(lc.objective_value, gc.objective_value - 1e-9) << "seed " << s;
   }
   // The alive check: a local search that can never improve on greedy
   // (as a too-weak move generator once guaranteed) passes never-worse
@@ -268,7 +244,7 @@ TEST(LocalSearchStrategyTest, NeverWorseThanGreedyOnSeededInstances) {
 
 TEST(LocalSearchStrategyTest, ResultRespectsBudget) {
   for (int s = 0; s < 50; ++s) {
-    const SelectionInput in = RandomInstance(8100 + s, 60, 4, 0.35);
+    const SelectionInput in = RandomInstance(8100 + s, 60, 0.35);
     const SelectionResolution res =
         SelectionStrategy::ForKind(SelectionStrategyKind::kLocalSearch)
             ->Resolve(in);
@@ -297,7 +273,7 @@ TEST(LocalSearchStrategyTest, ResultRespectsBudget) {
 }
 
 TEST(LocalSearchStrategyTest, SwapBudgetZeroReproducesGreedy) {
-  SelectionInput in = RandomInstance(4242, 80, 6, 0.4);
+  SelectionInput in = RandomInstance(4242, 80, 0.4);
   in.config.local_search_max_swaps = 0;
   in.config.local_search_max_rounds = 0;
   const SelectionResolution g =
@@ -336,99 +312,6 @@ TEST(LocalSearchStrategyTest, EvictionRefillMoveFires) {
   EXPECT_EQ(l.decision.actions[1].kind, ActKind::kMaterializeView);
 }
 
-// --- clustering pre-pass ---
-
-TEST(ClusterCandidatesTest, MergedCandidateCoversItsMembers) {
-  SelectionConfig config;
-  config.cluster_min_overlap = 0.5;
-  std::vector<SelectionCandidate> items;
-  items.push_back(
-      Item(CandKind::kNewFragment, 4.0, 100.0, 0.0, 100.0, 0, true));
-  items.push_back(
-      Item(CandKind::kNewFragment, 3.0, 100.0, 40.0, 140.0, 0, true));
-  items.push_back(
-      Item(CandKind::kNewFragment, 2.0, 80.0, 90.0, 180.0, 0, true));
-  int merged_away = -1;
-  const std::vector<SelectionCandidate> out =
-      ClusterCandidates(items, config, &merged_away);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(merged_away, 2);
-  // The hull covers every member's query range.
-  for (const SelectionCandidate& member : items) {
-    EXPECT_LE(out[0].interval.lo, member.interval.lo);
-    EXPECT_GE(out[0].interval.hi, member.interval.hi);
-  }
-  EXPECT_EQ(out[0].kind, CandKind::kNewFragment);
-  // Size stays physical: at least the largest member, at most the sum.
-  EXPECT_GE(out[0].size, 100.0);
-  EXPECT_LE(out[0].size, 280.0);
-  // Value keeps at least the strongest member's evidence.
-  EXPECT_GE(out[0].value, 4.0);
-}
-
-TEST(ClusterCandidatesTest, DisjointAndNonMergeableContentPassesThrough) {
-  SelectionConfig config;
-  config.cluster_min_overlap = 0.5;
-  std::vector<SelectionCandidate> items;
-  // Disjoint ranges on the same partition: no merge.
-  items.push_back(Item(CandKind::kNewFragment, 4.0, 10.0, 0.0, 10.0, 0, true));
-  items.push_back(
-      Item(CandKind::kNewFragment, 3.0, 10.0, 50.0, 60.0, 0, true));
-  // Overlapping but on different partitions: no merge.
-  items.push_back(
-      Item(CandKind::kNewFragment, 2.0, 10.0, 0.0, 10.0, 1, true));
-  // Overlapping same-partition but not mergeable (planned fragments of
-  // an uncreated view are admitted as a unit): no merge.
-  items.push_back(
-      Item(CandKind::kNewViewFragment, 2.0, 10.0, 0.0, 10.0, 0, false));
-  // Pool content is never merged.
-  items.push_back(Item(CandKind::kPoolFragment, 1.0, 10.0, 0.0, 10.0, 0, true));
-  int merged_away = -1;
-  const std::vector<SelectionCandidate> out =
-      ClusterCandidates(items, config, &merged_away);
-  EXPECT_EQ(merged_away, 0);
-  ASSERT_EQ(out.size(), items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    EXPECT_EQ(out[i].kind, items[i].kind) << i;
-    EXPECT_EQ(out[i].value, items[i].value) << i;
-    EXPECT_EQ(out[i].interval, items[i].interval) << i;
-  }
-}
-
-TEST(ClusterCandidatesTest, ExactOverlapKnobMergesOnlyDuplicates) {
-  SelectionConfig config;
-  config.cluster_min_overlap = 1.0;
-  std::vector<SelectionCandidate> items;
-  items.push_back(
-      Item(CandKind::kNewFragment, 4.0, 100.0, 0.0, 100.0, 0, true));
-  items.push_back(
-      Item(CandKind::kNewFragment, 3.0, 100.0, 0.0, 100.0, 0, true));
-  // 90% overlap — below the exact-duplicate bar.
-  items.push_back(
-      Item(CandKind::kNewFragment, 2.0, 100.0, 10.0, 110.0, 0, true));
-  int merged_away = -1;
-  const std::vector<SelectionCandidate> out =
-      ClusterCandidates(items, config, &merged_away);
-  EXPECT_EQ(merged_away, 1);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].interval, Interval(0.0, 100.0));
-  EXPECT_EQ(out[1].interval, Interval(10.0, 110.0));
-}
-
-TEST(ClusterCandidatesTest, ZeroOverlapKnobStillRequiresOverlap) {
-  SelectionConfig config;
-  config.cluster_min_overlap = 0.0;  // clamped: disjoint never merges
-  std::vector<SelectionCandidate> items;
-  items.push_back(Item(CandKind::kNewFragment, 4.0, 10.0, 0.0, 10.0, 0, true));
-  items.push_back(
-      Item(CandKind::kNewFragment, 3.0, 10.0, 20.0, 30.0, 0, true));
-  int merged_away = -1;
-  const std::vector<SelectionCandidate> out =
-      ClusterCandidates(items, config, &merged_away);
-  EXPECT_EQ(merged_away, 0);
-  EXPECT_EQ(out.size(), 2u);
-}
-
 // --- engine integration: telemetry stamping ---
 
 BigBenchDataset::Options SmallData() {
@@ -441,7 +324,7 @@ BigBenchDataset::Options SmallData() {
 }
 
 TEST(SelectionStrategyEngineTest, ReportsStampTheResolvingStrategy) {
-  for (SelectionStrategyKind kind : kAllKinds) {
+  for (SelectionStrategyKind kind : kSelectionStrategyKinds) {
     Catalog catalog;
     ASSERT_TRUE(BigBenchDataset::Generate(SmallData(), &catalog).ok());
     EngineOptions options;
@@ -480,30 +363,24 @@ TEST(SelectionStrategyScheduleTest, TurnstileMatchesSequentialReplay) {
   plans.push_back(mt::BuildPlans(mt::SdssTenantWorkload(25, 404)));
   plans.push_back(mt::BuildPlans(mt::SdssTenantWorkload(25, 505)));
   const std::vector<int> per_tenant(2, 25);
+  const std::vector<int> schedule = mt::ShuffledSchedule(per_tenant, 31);
+  const EngineOptions options =
+      StrategyOptions(SelectionStrategyKind::kLocalSearch);
 
-  for (SelectionStrategyKind kind : {SelectionStrategyKind::kLocalSearch,
-                                     SelectionStrategyKind::kClusterLocalSearch}) {
-    const std::vector<int> schedule = mt::ShuffledSchedule(per_tenant, 31);
+  Catalog seq_catalog;
+  ASSERT_TRUE(BigBenchDataset::Generate(SmallData(), &seq_catalog).ok());
+  const mt::ScheduledRunResult seq = mt::RunScheduled(
+      &seq_catalog, options, tenants, plans, schedule, /*threaded=*/false);
 
-    Catalog seq_catalog;
-    ASSERT_TRUE(BigBenchDataset::Generate(SmallData(), &seq_catalog).ok());
-    const mt::ScheduledRunResult seq =
-        mt::RunScheduled(&seq_catalog, StrategyOptions(kind), tenants, plans,
-                         schedule, /*threaded=*/false);
+  Catalog thr_catalog;
+  ASSERT_TRUE(BigBenchDataset::Generate(SmallData(), &thr_catalog).ok());
+  const mt::ScheduledRunResult thr = mt::RunScheduled(
+      &thr_catalog, options, tenants, plans, schedule, /*threaded=*/true);
 
-    Catalog thr_catalog;
-    ASSERT_TRUE(BigBenchDataset::Generate(SmallData(), &thr_catalog).ok());
-    const mt::ScheduledRunResult thr =
-        mt::RunScheduled(&thr_catalog, StrategyOptions(kind), tenants, plans,
-                         schedule, /*threaded=*/true);
-
-    EXPECT_EQ(seq.fingerprint, thr.fingerprint)
-        << SelectionStrategyName(kind);
-    ASSERT_EQ(seq.reports.size(), thr.reports.size());
-    for (size_t t = 0; t < seq.reports.size(); ++t) {
-      EXPECT_EQ(seq.reports[t], thr.reports[t])
-          << SelectionStrategyName(kind) << " tenant " << t;
-    }
+  EXPECT_EQ(seq.fingerprint, thr.fingerprint);
+  ASSERT_EQ(seq.reports.size(), thr.reports.size());
+  for (size_t t = 0; t < seq.reports.size(); ++t) {
+    EXPECT_EQ(seq.reports[t], thr.reports[t]) << "tenant " << t;
   }
 }
 

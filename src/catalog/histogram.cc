@@ -61,8 +61,13 @@ double AttributeHistogram::FractionInRange(const Interval& iv) const {
   if (total_ <= 0.0 || counts_.empty()) return 0.0;
   const auto inter = iv.Intersect(domain_);
   if (!inter.has_value()) return 0.0;
+  // Only bins overlapping the intersection carry mass; every other bin
+  // would add nothing. BinIndex and bin_interval round differently, so
+  // the visited range keeps one bin of margin on each side.
+  const int first = std::max(BinIndex(inter->lo) - 1, 0);
+  const int last = std::min(BinIndex(inter->hi) + 1, num_bins() - 1);
   double mass = 0.0;
-  for (int i = 0; i < num_bins(); ++i) {
+  for (int i = first; i <= last; ++i) {
     const Interval bi = bin_interval(i);
     const double bw = bi.Width();
     if (bw <= 0.0) continue;

@@ -64,11 +64,44 @@ class MleFragmentModel {
   /// base holds the history. Hits are then evaluated base-first, local
   /// second — the order a folded in-place fragment stores them — so the
   /// fit is bit-identical to running Adjust after the fold.
+  ///
+  /// With decay on, one walk per fragment sums H(I) from the window
+  /// cursor and spreads each weighted hit, taking its geometry from the
+  /// history holder's SpreadCache when the cache matches this call's
+  /// part grid. Hits the cache does not cover (a grid mismatch, the
+  /// local suffix, planner-added fragments, an unrefreshed tail) are
+  /// spread from scratch. Either way every part receives the same
+  /// additions in the same order as AdjustUncached, so the two are
+  /// bit-identical.
   AdjustedHits Adjust(const std::vector<FragmentStats>& fragments,
                       const Interval& domain, double t_now,
                       const DecayFunction& dec,
                       const std::vector<const FragmentStats*>* bases =
                           nullptr) const;
+
+  /// The reference fit: two passes over the whole hit history, deriving
+  /// every hit's geometry again. Adjust runs it when decay is off (every
+  /// hit then weighs 1.0 forever, so no window bounds a cache); tests
+  /// use it as the bit-identity oracle for the cached path.
+  AdjustedHits AdjustUncached(const std::vector<FragmentStats>& fragments,
+                              const Interval& domain, double t_now,
+                              const DecayFunction& dec,
+                              const std::vector<const FragmentStats*>*
+                                  bases = nullptr) const;
+
+  /// Brings every fragment's SpreadCache up to date for the partition's
+  /// current grid: drops entries before the window cursor, rebuilds
+  /// when the fragment's interval or the grid changed, and derives the
+  /// hits appended since the last refresh. Call only inside the commit
+  /// section that holds the partition, after the cursors advanced, and
+  /// only with decay on.
+  void RefreshSpreadCaches(std::vector<FragmentStats>* fragments,
+                           const Interval& domain) const;
+
+  /// The part grid Adjust uses for these fragments over `domain`
+  /// (num_parts == 0 when the domain has no width). Exposed for tests.
+  SpreadGrid GridFor(const std::vector<FragmentStats>& fragments,
+                     const Interval& domain) const;
 
   /// Chooses an equi-size part width such that every fragment boundary
   /// (approximately) aligns with a part boundary: the greatest
@@ -78,6 +111,15 @@ class MleFragmentModel {
                       const Interval& domain) const;
 
  private:
+  /// Fits the Normal over the part histogram and fills out->hits (shared
+  /// tail of Adjust and AdjustUncached).
+  void FitAndRedistribute(const std::vector<FragmentStats>& fragments,
+                          const Interval& domain,
+                          const std::vector<double>& part_mids,
+                          const std::vector<double>& part_hits,
+                          const std::vector<double>& frag_hits,
+                          AdjustedHits* out) const;
+
   MleConfig cfg_;
 };
 

@@ -287,6 +287,9 @@ bool PoolManager::ValidateReadSetLocked(const CommitFootprint& read_fp,
                                         uint64_t read_epoch,
                                         bool* conflict_genuine,
                                         uint64_t ignore_seq) const {
+  // A plan that read nothing depends on nothing: no write, published,
+  // dropped from the ring or in flight, can invalidate it.
+  if (read_fp.Empty()) return true;
   const uint64_t seq_now = commit_seq_.load(std::memory_order_relaxed);
   if (seq_now > read_epoch) {
     // Can the bounded ring still cover everything published after the
@@ -540,14 +543,26 @@ void PoolManager::RegisterViewTablePlanning(ViewInfo* view,
       est->seconds + cluster_->WriteSeconds(view->stats.size_bytes);
 }
 
+bool PoolManager::SpreadCachesOn() const {
+  return options_->use_mle_smoothing &&
+         options_->value_model == ValueModel::kDeepSea &&
+         decay_.config().enabled;
+}
+
 void PoolManager::AdvanceWindowsAfterFold(double t_now) {
   assert(CommitHeldByThisThread());
   CommitCtx& ctx = Ctx();
-  auto advance = [this, t_now](ViewInfo* v) {
+  const bool refresh = SpreadCachesOn();
+  const MleFragmentModel mle(options_->mle);
+  auto advance = [&](ViewInfo* v) {
     v->stats.AdvanceWindow(t_now, decay_);
     for (auto& [attr, part] : v->partitions) {
       (void)attr;
       for (FragmentStats& f : part.fragments) f.AdvanceWindow(t_now, decay_);
+      // The fold's appended hits, the advanced cursors and any new
+      // fragments (a changed grid) all reach the MLE spread caches here,
+      // while this commit still holds the view.
+      if (refresh) mle.RefreshSpreadCaches(&part.fragments, part.domain);
     }
   };
   if (ctx.exclusive) {
@@ -1194,6 +1209,14 @@ Result<double> PoolManager::MergeStaged(double t_now,
         FragmentPath(*cand.view, cand.part->attr, cand.merged), merged_bytes));
     merged->materialized = true;
     if (merged->hits().empty()) merged->AdoptHits(std::move(hits));
+    if (SpreadCachesOn()) {
+      // AdoptHits reset the merged fragment's cursor and spread cache;
+      // restore both (under the exclusive commit) so the next fits need
+      // not re-derive its inherited history.
+      merged->AdvanceWindow(t_now, decay_);
+      MleFragmentModel(options_->mle)
+          .RefreshSpreadCaches(&cand.part->fragments, cand.part->domain);
+    }
     cand.view->RefreshCachedBytes();
     ++merges;
     ++report->merged_fragments;

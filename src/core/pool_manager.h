@@ -507,6 +507,11 @@ class PoolManager {
   /// materialization clears the record. Requires the commit section.
   void RecordViewFault(const std::string& view_id, int64_t now);
 
+  /// Publishes the epoch ring retains. A plan whose read epoch is older
+  /// than the ring's oldest entry cannot be proven conflict-free unless
+  /// its read set is empty.
+  static constexpr size_t kEpochRingCapacity = 128;
+
  private:
   friend class CommitGuard;
 
@@ -550,6 +555,11 @@ class PoolManager {
   /// ones its shards own). The cursor is an evaluation cache, never
   /// part of the pool fingerprint, so partial advancement is sound.
   void AdvanceWindowsAfterFold(double t_now);
+
+  /// True when selections fit the MLE model over decayed hits, so the
+  /// commit section keeps the fragments' spread caches (SpreadCache)
+  /// current. Off, no cache is built.
+  bool SpreadCachesOn() const;
 
   // --- decision transaction (stage-then-commit rollback journal) ---
   //
@@ -674,7 +684,6 @@ class PoolManager {
   /// read_epoch fell off the ring is invalidated conservatively
   /// (counted as spurious by the engine).
   std::deque<PublishedWrite> published_;
-  static constexpr size_t kEpochRingCapacity = 128;
   /// Write footprints (and budget claims) of in-flight sharded commits
   /// (registered at validation, removed at publish). Validation checks
   /// them so a plan never validates against a half-applied foreign

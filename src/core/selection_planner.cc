@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <optional>
 
 #include "core/partition_match.h"
 #include "core/policy.h"
@@ -131,7 +132,7 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
                        options_->value_model == ValueModel::kDeepSea;
   std::map<const PartitionState*, MleFragmentModel::AdjustedHits> adjusted;
   auto adjusted_hits_for = [&](const PartitionState* part,
-                               const FragmentStats* frag) -> double {
+                               size_t index) -> double {
     if (!use_mle) return -1.0;
     auto it = adjusted.find(part);
     if (it == adjusted.end()) {
@@ -141,11 +142,10 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
                                            delta->BasesOf(part)))
                .first;
     }
-    const auto& adj = it->second;
-    for (size_t i = 0; i < part->fragments.size(); ++i) {
-      if (&part->fragments[i] == frag) return adj.hits[i];
-    }
-    return -1.0;
+    // Fragments are only tracked before the first fit, so the fit is
+    // parallel to part->fragments.
+    assert(index < it->second.hits.size());
+    return it->second.hits[index];
   };
 
   // --- P_sel: filter refinement candidates by benefit >= cost.
@@ -153,9 +153,11 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
     if (fc.view->Quarantined(clock_now)) continue;
     PartitionState* part = delta->Partition(fc.view, fc.attr);
     if (part == nullptr) continue;
-    FragmentStats* fstat = part->Find(fc.interval);
-    if (fstat == nullptr || fstat->materialized) continue;
-    const double adj = adjusted_hits_for(part, fstat);
+    const std::optional<size_t> index = part->IndexOf(fc.interval);
+    if (!index.has_value()) continue;
+    const FragmentStats* fstat = &part->fragments[*index];
+    if (fstat->materialized) continue;
+    const double adj = adjusted_hits_for(part, *index);
     const double hits =
         adj >= 0.0 ? adj : delta->DecayedHits(part, fstat, *decay_);
     // Marginal admission: expected read-time saving over the current
@@ -211,7 +213,8 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
     for (const std::string& attr : delta->PartitionAttrs(v)) {
       PartitionState* part = delta->Partition(v, attr);
       if (part == nullptr) continue;
-      for (const FragmentStats& f : part->fragments) {
+      for (size_t i = 0; i < part->fragments.size(); ++i) {
+        const FragmentStats& f = part->fragments[i];
         if (!f.materialized) continue;
         Item it;
         it.kind = Item::Kind::kPoolFragment;
@@ -222,7 +225,7 @@ SelectionResolution SelectionPlanner::PlanSelection(const QueryContext& ctx,
         it.value = delta->FragmentValue(options_->value_model, part, &f,
                                         v->stats.size_bytes,
                                         v->stats.creation_cost, *decay_,
-                                        adjusted_hits_for(part, &f));
+                                        adjusted_hits_for(part, i));
         items.push_back(it);
       }
     }

@@ -6,18 +6,21 @@
 
 namespace deepsea {
 
-FragmentStats* PartitionState::Find(const Interval& iv) {
-  for (FragmentStats& f : fragments) {
-    if (f.interval == iv) return &f;
+std::optional<size_t> PartitionState::IndexOf(const Interval& iv) const {
+  for (size_t i = 0; i < fragments.size(); ++i) {
+    if (fragments[i].interval == iv) return i;
   }
-  return nullptr;
+  return std::nullopt;
+}
+
+FragmentStats* PartitionState::Find(const Interval& iv) {
+  const std::optional<size_t> i = IndexOf(iv);
+  return i.has_value() ? &fragments[*i] : nullptr;
 }
 
 const FragmentStats* PartitionState::Find(const Interval& iv) const {
-  for (const FragmentStats& f : fragments) {
-    if (f.interval == iv) return &f;
-  }
-  return nullptr;
+  const std::optional<size_t> i = IndexOf(iv);
+  return i.has_value() ? &fragments[*i] : nullptr;
 }
 
 FragmentStats* PartitionState::Track(const Interval& iv, double est_size_bytes) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,9 @@ struct PartitionState {
   /// fragments of PSTAT). Becomes the initial fragmentation at creation.
   /// Initialized to {domain} on first use.
   std::vector<Interval> pending;
+
+  /// Index of the tracked fragment with exactly this interval.
+  std::optional<size_t> IndexOf(const Interval& iv) const;
 
   /// Pointer to the tracked fragment with exactly this interval, or
   /// nullptr. Pointers are invalidated by adding fragments.

@@ -137,6 +137,52 @@ struct FragmentHit {
   int32_t tenant = 0;  ///< interned tenant ordinal (0 = default)
 };
 
+/// The equal-width part grid the Section 7.1 MLE fit spreads hits
+/// over: `num_parts` parts of width `part_width` starting at `lo`
+/// (MleFragmentModel derives it from a partition's domain and its
+/// narrowest fragment). num_parts == 0 is "no grid".
+struct SpreadGrid {
+  double lo = 0.0;
+  double part_width = 0.0;
+  int num_parts = 0;
+
+  bool operator==(const SpreadGrid& o) const {
+    return lo == o.lo && part_width == o.part_width && num_parts == o.num_parts;
+  }
+  bool operator!=(const SpreadGrid& o) const { return !(*this == o); }
+};
+
+/// Where one hit's mass lands on a SpreadGrid, in four bytes. The
+/// region the hit spreads over (its recorded range clamped to the
+/// fragment, else the whole fragment) takes each bound from either the
+/// hit's range or the fragment interval; the flags say which, so a
+/// reader rebuilds the region from the hit without re-clamping it.
+/// [first, last] are the parts the region can overlap. A region with
+/// hi <= lo is zero-width: its whole weight goes to part `first`.
+struct HitSpread {
+  /// Grids with more parts than this are never cached.
+  static constexpr int kMaxParts = 1 << 15;
+
+  uint16_t first : 15;
+  uint16_t lo_from_range : 1;
+  uint16_t last : 15;
+  uint16_t hi_from_range : 1;
+};
+
+/// The spread geometry of a fragment's in-window hits under one grid,
+/// so the MLE fit need not re-derive it on every query: spreads[k]
+/// belongs to hits()[begin + k]. Entries depend only on (fragment
+/// interval, hit range, grid), never on t_now; the key fields say which
+/// interval and grid they were derived for, and a reader whose grid
+/// differs ignores the cache. Written only inside the commit section
+/// (MleFragmentModel::RefreshSpreadCaches); readers are const.
+struct SpreadCache {
+  Interval interval;
+  SpreadGrid grid;
+  size_t begin = 0;
+  std::vector<HitSpread> spreads;
+};
+
 /// Statistics kept per fragment interval of a tracked partition: the
 /// (S, T) pair of Definition 5. Benefit and cost are derived from the
 /// owning view's stats (Section 7.1, "Fragment Statistics").
@@ -146,7 +192,10 @@ struct FragmentHit {
 /// only the in-window suffix (bit-identical to naive replay — skipped
 /// terms are exact zeros). Merge passes and state restore splice
 /// arbitrary hit vectors via AdoptHits/AppendHit, which rebuild or
-/// extend the caches without assuming time order.
+/// extend the caches without assuming time order. The MLE spread cache
+/// (SpreadCache) covers a prefix of the in-window hits: appends leave
+/// an uncovered tail, AdoptHits drops it, and the commit section
+/// refreshes it after the window cursor advances.
 struct FragmentStats {
   Interval interval;
   /// S(I) in bytes; estimated for candidates, actual once materialized.
@@ -184,9 +233,18 @@ struct FragmentStats {
     win_begin_ = 0;
     win_t_ = 0.0;
     win_tmax_ = -1.0;
+    spread_ = SpreadCache{};
   }
 
   void ResetHits() { AdoptHits({}); }
+
+  /// Index of the first hit that can weigh anything at t_now: the
+  /// timed-out-prefix cursor when it is valid for (t_now, dec), else 0.
+  /// Every hit before it has DEC == 0.0 exactly.
+  size_t WindowBegin(double t_now, const DecayFunction& dec) const;
+
+  /// The MLE spread geometry of the in-window hits (see SpreadCache).
+  const SpreadCache& spread_cache() const { return spread_; }
 
   /// Decayed hit count H(I) = sum over hits of DEC(t_now, t).
   double DecayedHits(double t_now, const DecayFunction& dec) const;
@@ -227,11 +285,14 @@ struct FragmentStats {
   double LastHitNaive() const;
 
  private:
+  friend class MleFragmentModel;  // the only writer of spread_
+
   std::vector<FragmentHit> hits_;
   double last_hit_ = 0.0;
   size_t win_begin_ = 0;
   double win_t_ = 0.0;
   double win_tmax_ = -1.0;
+  SpreadCache spread_;
 };
 
 }  // namespace deepsea

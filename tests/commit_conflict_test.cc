@@ -297,6 +297,31 @@ TEST_F(CommitValidationTest, EpochRingOverflowInvalidatesSpuriously) {
   pool()->SetCommitFootprint(commit, CommitFootprint{});
 }
 
+TEST_F(CommitValidationTest, EmptyReadSetEntersAfterRingOverflow) {
+  // An empty read set can conflict with nothing, so losing ring
+  // coverage must not invalidate it (the OpposingShardOrdersDoNotDeadlock
+  // workers publish hundreds of commits between read_epoch() and entry).
+  const uint64_t stale_epoch = pool()->read_epoch();
+  for (size_t i = 0; i < PoolManager::kEpochRingCapacity + 8; ++i) {
+    PublishWrite(ViewRead("other"));
+  }
+  bool genuine = true;
+  {
+    CommitGuard commit = pool()->TryBeginShardedCommit(
+        nullptr, "", 0, ViewRead("mine"), CommitFootprint{}, stale_epoch,
+        &genuine);
+    EXPECT_TRUE(commit.held());
+    EXPECT_FALSE(genuine);
+  }
+  // The overflow still invalidates a non-empty read set, spuriously.
+  genuine = true;
+  CommitGuard refused = pool()->TryBeginShardedCommit(
+      nullptr, "", 0, ViewRead("mine"), ViewRead("unrelated"), stale_epoch,
+      &genuine);
+  EXPECT_FALSE(refused.held());
+  EXPECT_FALSE(genuine);
+}
+
 TEST_F(CommitValidationTest, ShardedCommitsPublishOnRelease) {
   const uint64_t read_epoch = pool()->read_epoch();
   bool genuine = true;

@@ -202,6 +202,38 @@ TEST_F(EngineTest, RefinementCreatesFragmentsAfterCreation) {
   EXPECT_GT(refinements, 0) << "expected progressive refinement";
 }
 
+// Spread-cache entries across the pool's fragments.
+size_t CachedSpreads(const DeepSeaEngine& engine) {
+  size_t n = 0;
+  for (const ViewInfo* v : engine.views().AllViews()) {
+    for (const auto& [attr, part] : v->partitions) {
+      for (const FragmentStats& f : part.fragments) {
+        n += f.spread_cache().spreads.size();
+      }
+    }
+  }
+  return n;
+}
+
+TEST_F(EngineTest, CommitsFillMleSpreadCachesOnlyWhenTheFitRuns) {
+  for (const bool mle : {true, false}) {
+    EngineOptions opts;
+    opts.enforce_block_lower_bound = false;
+    opts.benefit_cost_threshold = 0.05;
+    opts.use_mle_smoothing = mle;
+    DeepSeaEngine engine(&catalog_, opts);
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(engine.ProcessQuery(Q30(50000, 150000)).ok());
+      ASSERT_TRUE(engine.ProcessQuery(Q30(60000 + 1000 * i, 90000)).ok());
+    }
+    if (mle) {
+      EXPECT_GT(CachedSpreads(engine), 0u);
+    } else {
+      EXPECT_EQ(CachedSpreads(engine), 0u);
+    }
+  }
+}
+
 TEST_F(EngineTest, NoRefineStrategyNeverRepartitions) {
   EngineOptions opts;
   opts.strategy = StrategyKind::kNoRefine;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+
 #include "catalog/table.h"
 #include "common/rng.h"
 
@@ -97,6 +100,55 @@ TEST(HistogramTest, EmptyHistogramFractionZero) {
   AttributeHistogram h(Interval(0, 10), 4);
   EXPECT_EQ(h.FractionInRange(Interval(0, 10)), 0.0);
   EXPECT_TRUE(h.empty());
+}
+
+// The full scan FractionInRange performed before it visited only the
+// bins around the range: every bin, in order.
+double FractionInRangeFullScan(const AttributeHistogram& h, const Interval& iv) {
+  if (h.total_count() <= 0.0 || h.num_bins() == 0) return 0.0;
+  const auto inter = iv.Intersect(h.domain());
+  if (!inter.has_value()) return 0.0;
+  double mass = 0.0;
+  for (int i = 0; i < h.num_bins(); ++i) {
+    const Interval bi = h.bin_interval(i);
+    const double bw = bi.Width();
+    if (bw <= 0.0) continue;
+    const double ow = bi.OverlapWidth(*inter);
+    if (ow > 0.0) mass += h.bin_count(i) * (ow / bw);
+  }
+  return mass / h.total_count();
+}
+
+TEST(HistogramTest, FractionInRangeMatchesFullScanBitForBit) {
+  Rng rng(20240917);
+  for (int trial = 0; trial < 200; ++trial) {
+    const double lo = rng.Uniform(-1e6, 1e6);
+    const double width = std::pow(10.0, rng.Uniform(-3.0, 7.0));
+    const int bins = trial % 4 == 0 ? 2048 : static_cast<int>(rng.UniformInt(1, 600));
+    AttributeHistogram h(Interval(lo, lo + width), bins);
+    for (int k = 0; k < 40; ++k) {
+      const double a = rng.Uniform(lo - 0.1 * width, lo + 1.1 * width);
+      const double b = a + rng.Uniform(0.0, 0.5 * width);
+      h.AddRange(Interval(a, b), rng.Uniform(0.1, 50.0));
+      h.Add(rng.Uniform(lo, lo + width), rng.Uniform(0.1, 5.0));
+    }
+    for (int q = 0; q < 50; ++q) {
+      double a = rng.Uniform(lo - 0.2 * width, lo + 1.2 * width);
+      double b = rng.Uniform(lo - 0.2 * width, lo + 1.2 * width);
+      if (a > b) std::swap(a, b);
+      // Snap some endpoints onto bin edges and the domain bounds, where
+      // the bin lookup and the bin intervals round differently.
+      if (q % 5 == 1) a = h.bin_interval(static_cast<int>(rng.UniformInt(0, bins - 1))).lo;
+      if (q % 5 == 2) b = h.bin_interval(static_cast<int>(rng.UniformInt(0, bins - 1))).hi;
+      if (q % 5 == 3) b = h.domain().hi;  // the last, hi-inclusive bin
+      if (q % 5 == 4) a = b = h.bin_interval(bins - 1).hi;
+      if (a > b) std::swap(a, b);
+      const Interval iv(a, b, /*lo_inc=*/rng.UniformInt(0, 1) == 1,
+                        /*hi_inc=*/rng.UniformInt(0, 1) == 1);
+      EXPECT_EQ(h.FractionInRange(iv), FractionInRangeFullScan(h, iv))
+          << "trial " << trial << " range " << iv.ToString();
+    }
+  }
 }
 
 TEST(TableTest, RegisterAndLookup) {

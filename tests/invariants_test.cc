@@ -2,6 +2,7 @@
 // strategy and several seeds must preserve the system's structural
 // guarantees regardless of what the adaptive machinery decides.
 
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -97,6 +98,17 @@ struct SweepParam {
   bool overlapping;
   uint64_t seed;
 };
+
+// gtest prints GetParam() after each case's name. Without a printer it
+// dumps the struct's bytes, padding included, so the names differ from
+// build to build. This printer keeps the "<size>-byte" lead of gtest's
+// byte dump, so each name starts as before, and prints the fields.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << sizeof(SweepParam) << "-byte SweepParam <"
+      << StrategyName(p.strategy) << " " << ValueModelName(p.model) << " "
+      << (p.overlapping ? "overlapping" : "horizontal") << " seed=" << p.seed
+      << ">";
+}
 
 std::string ParamName(const ::testing::TestParamInfo<SweepParam>& info) {
   const SweepParam& p = info.param;

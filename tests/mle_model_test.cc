@@ -235,7 +235,6 @@ TEST(MleSpreadCacheTest, WindowAdvanceTrimsAndTailsStayExact) {
   const MleFragmentModel model;
   const DecayFunction dec(DecayConfig{300.0, true});
   Partition p = RandomPartition(rng, 24, 800.0);
-  double last = 800.0;
   for (double t : {400.0, 520.0, 650.0, 900.0, 1300.0}) {
     Commit(&p, model, t, dec);
     size_t in_window = 0;
@@ -251,9 +250,8 @@ TEST(MleSpreadCacheTest, WindowAdvanceTrimsAndTailsStayExact) {
     ExpectCachedMatchesUncached(p.fragments, p.domain, t + 37.0, dec, at + "+37");
     // Hits appended after the refresh form an uncovered tail.
     for (FragmentStats& f : p.fragments) {
-      if (rng.UniformInt(0, 2) == 0) AddHits(rng, &f, 3, last, t);
+      if (rng.UniformInt(0, 2) == 0) AddHits(rng, &f, 3, t - 20.0, t);
     }
-    last = t;
     ExpectCachedMatchesUncached(p.fragments, p.domain, t, dec, at + " tail");
   }
   // Everything has expired: no cached entry is left.

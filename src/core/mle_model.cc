@@ -154,9 +154,6 @@ MleFragmentModel::AdjustedHits MleFragmentModel::Adjust(
     const std::vector<FragmentStats>& fragments, const Interval& domain,
     double t_now, const DecayFunction& dec,
     const std::vector<const FragmentStats*>* bases) const {
-  if (!dec.config().enabled) {
-    return AdjustUncached(fragments, domain, t_now, dec, bases);
-  }
   AdjustedHits out;
   out.hits.assign(fragments.size(), 0.0);
   if (fragments.empty() || domain.Width() <= 0.0) return out;
@@ -172,7 +169,9 @@ MleFragmentModel::AdjustedHits MleFragmentModel::Adjust(
   // One walk per fragment: H(I) accumulates every weight from the
   // window cursor on (exactly DecayedHits' additions; with a base,
   // base history first, then the local suffix), and each weighted hit
-  // is spread in the order AdjustUncached spreads it.
+  // is spread in the order AdjustUncached spreads it. With decay off
+  // the walk starts at hit 0 and adds 1.0 per hit, the exact integer
+  // count DecayedHits returns.
   for (size_t i = 0; i < fragments.size(); ++i) {
     const FragmentStats* base =
         bases != nullptr && i < bases->size() ? (*bases)[i] : nullptr;

@@ -65,10 +65,10 @@ class MleFragmentModel {
   /// second — the order a folded in-place fragment stores them — so the
   /// fit is bit-identical to running Adjust after the fold.
   ///
-  /// With decay on, one walk per fragment sums H(I) from the window
-  /// cursor and spreads each weighted hit, taking its geometry from the
-  /// history holder's SpreadCache when the cache matches this call's
-  /// part grid. Hits the cache does not cover (a grid mismatch, the
+  /// One walk per fragment sums H(I) from the window cursor (from hit
+  /// 0 with decay off) and spreads each weighted hit, taking its
+  /// geometry from the history holder's SpreadCache when the cache
+  /// matches this call's part grid. Hits the cache does not cover (a grid mismatch, the
   /// local suffix, planner-added fragments, an unrefreshed tail) are
   /// spread from scratch. Either way every part receives the same
   /// additions in the same order as AdjustUncached, so the two are
@@ -80,9 +80,8 @@ class MleFragmentModel {
                           nullptr) const;
 
   /// The reference fit: two passes over the whole hit history, deriving
-  /// every hit's geometry again. Adjust runs it when decay is off (every
-  /// hit then weighs 1.0 forever, so no window bounds a cache); tests
-  /// use it as the bit-identity oracle for the cached path.
+  /// every hit's geometry again. Kept only as the bit-identity oracle
+  /// for Adjust in tests, like the *Naive accumulators.
   AdjustedHits AdjustUncached(const std::vector<FragmentStats>& fragments,
                               const Interval& domain, double t_now,
                               const DecayFunction& dec,

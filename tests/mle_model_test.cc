@@ -427,10 +427,9 @@ TEST(MleSpreadCacheTest, DecayOffAndZeroWidthRegions) {
   Commit(&p, model, 400.0, on);
   EXPECT_GT(CachedHits(p, model), 0u);
   ExpectCachedMatchesUncached(p.fragments, p.domain, 400.0, on, "points");
-  // Decay off ignores the caches: every hit weighs 1.0 forever.
+  // Decay off: every hit weighs 1.0 and the walk starts at hit 0, before
+  // the cache's first entry, so uncached and cached hits both spread.
   ExpectCachedMatchesUncached(p.fragments, p.domain, 400.0, off, "decay off");
-  ExpectSameFit(model.Adjust(p.fragments, p.domain, 400.0, off),
-                model.AdjustUncached(p.fragments, p.domain, 400.0, off), "off");
 }
 
 }  // namespace

@@ -156,7 +156,7 @@ TEST(ViewStatsIncrementalTest, RandomEventStreamsMatchNaiveBitIdentically) {
         t += step(rng);
         stats.RecordUse(t, saving(rng), static_cast<int32_t>(i % 3));
         // Interleave cursor advancement with appends, as the pool does
-        // (AdvanceAllWindows after each fold).
+        // (AdvanceWindowsAfterFold after each fold).
         if (i % 5 == 0) stats.AdvanceWindow(t, dec);
         // Evaluate behind the cursor (fallback to full replay), at it,
         // inside the window, and far past expiry.

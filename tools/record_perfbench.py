@@ -8,9 +8,10 @@ into the build root, so both sides build perfbench from their own sources
 with identical benchmark settings; the change side is the working tree.
 For each workload the script runs `--pairs` untraced pairs, alternating
 which side runs first, then one `--trace 1` run per side for the
-per-layer metrics. It writes every run's metrics, each side's median and
-quartiles, the change's win count on every end-to-end metric, and the
-host it ran on.
+per-layer metrics. Each workload entry holds every run's metrics, each
+side's median and quartiles, the change's win count on every end-to-end
+metric, and the settings, commits, date and host it ran with, so entries
+added with --append describe themselves.
 """
 
 import argparse
@@ -110,8 +111,7 @@ def main():
         "parent": (base_tree, os.path.join(args.build_root, "parent")),
         "change": (ROOT, os.path.join(args.build_root, "change")),
     }
-    record = {
-        "benchmark": "perfbench (BENCHMARK.json)",
+    setup = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "host": host(),
         "parent": base_sha,
@@ -119,8 +119,8 @@ def main():
         "pairs": args.pairs,
         "seconds": args.seconds,
         "trace_seconds": args.trace_seconds,
-        "workloads": {},
     }
+    record = {"benchmark": "perfbench (BENCHMARK.json)", "workloads": {}}
     if args.append and os.path.exists(args.out):
         with open(args.out) as f:
             record["workloads"] = json.load(f)["workloads"]
@@ -136,7 +136,7 @@ def main():
                     print("%s seed %d pair %d %s: %.1f q/s" % (
                         workload, seed, i + 1, side,
                         runs[side][-1]["metrics"]["throughput_qps"]), flush=True)
-            entry = {"untraced": {}, "traced": {}, "change_wins": {}}
+            entry = dict(setup, untraced={}, traced={}, change_wins={})
             for side, results in runs.items():
                 entry["untraced"][side] = {
                     "correct": all(r["correct"] for r in results),
